@@ -25,6 +25,8 @@ do not have to allocate here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import Dict, Iterator, Optional
 
 from .block import CacheBlockState, CacheLine
@@ -131,6 +133,12 @@ class DRAMCache:
         DRAM array is not accessed; the caller should charge only the
         predictor latency in that case.
         """
+        if self.associativity == 1:
+            line = self._lines.get(block % self.num_sets)
+            if line is not None and line.block != block:
+                line = None
+        else:
+            line = self.peek(block)
         predictor = self.miss_predictor
         if predictor is not None:
             # Inlined RegionMissPredictor.predicts_miss.
@@ -150,15 +158,14 @@ class DRAMCache:
                 else:
                     predictor.predicted_miss += 1
                     predicted_miss = True
-            if predicted_miss:
-                if self.peek(block) is None:
-                    self.predictor_bypasses += 1
-                    self.misses += 1
-                    return _PROBE_MISS_BYPASS
-                # Mis-prediction (the predictor lost this region's residency
-                # information): fall through to the array access so that a
-                # resident -- possibly dirty -- line is never silently ignored.
-        line = self.peek(block)
+            # A predicted miss skips the array only when the tag store agrees:
+            # on a mis-prediction (the predictor lost this region's residency
+            # information) the array is accessed, so a resident -- possibly
+            # dirty -- line is never silently ignored.
+            if predicted_miss and line is None:
+                self.predictor_bypasses += 1
+                self.misses += 1
+                return _PROBE_MISS_BYPASS
         if line is None:
             self.misses += 1
             return _PROBE_MISS_ARRAY
@@ -210,7 +217,7 @@ class DRAMCache:
                 if predictor is not None:
                     predictor.note_evict(existing.block)
 
-            lines[index] = CacheLine(block=block, state=state, dirty=stored_dirty)
+            lines[index] = CacheLine(block, state, stored_dirty)
             if predictor is not None:
                 predictor.note_insert(block)
             return victim
@@ -233,197 +240,161 @@ class DRAMCache:
                 self.dirty_evictions += 1
             if predictor is not None:
                 predictor.note_evict(victim.block)
-        cache_set[block] = CacheLine(block=block, state=state, dirty=stored_dirty)
+        cache_set[block] = CacheLine(block, state, stored_dirty)
         if predictor is not None:
             predictor.note_insert(block)
         return victim
 
-    def bulk_insert_clean(self, blocks) -> int:
-        """Insert an iterable of block numbers clean (prewarm fast path).
+    def bulk_insert_clean(self, *block_sets) -> int:
+        """Insert each iterable of block numbers clean, in order (prewarm fast path).
 
         Semantically identical to calling ``insert(block, dirty=False)`` for
-        each block in order -- same eviction counters, same final cache and
-        predictor state -- but vectorised: contiguous ranges build their
-        lines with a C-level ``map`` and fill the tag store with one
-        ``dict.update``, and predictor presence bits are OR-ed per *region*
-        instead of per block.  Falls back to a faithful per-block loop for
-        non-contiguous inputs, associative organisations, wrap-around ranges
-        and predictor-displacement corner cases.  Returns the number of
-        blocks processed.
+        every block of every argument in order -- same eviction counters,
+        same final cache and predictor state -- but vectorised when the
+        arguments are contiguous, pairwise disjoint block ranges filling an
+        empty direct-mapped cache (the prewarm's cold, warm and hot regions):
+        set conflicts are resolved on index intervals, only the lines that
+        survive every later range are built (with one C-level ``map`` per
+        run), and predictor presence bits are updated per *region* instead
+        of per block.  Any other input, and predictor tables without room
+        for every region the ranges touch (displacement order cannot be
+        batched), go through :meth:`insert` block by block.  Returns the
+        number of blocks processed.
         """
-        if (
-            self.associativity == 1
-            and isinstance(blocks, range)
-            and blocks.step == 1
-            and 0 < len(blocks) <= self.num_sets
-        ):
-            predictor = self.miss_predictor
-            if predictor is None:
-                return self._bulk_fill_range(blocks)
-            first_region = (blocks.start * predictor._block_size) // predictor.region_size
-            last_region = ((blocks.stop - 1) * predictor._block_size) // predictor.region_size
-            # The batched path cannot reproduce mid-stream table displacement
-            # order, so require headroom for every region it may allocate.
-            if len(predictor._table) + (last_region - first_region + 1) < predictor.entries:
-                return self._bulk_fill_range(blocks)
-        return self._bulk_insert_clean_loop(blocks)
-
-    def _bulk_fill_range(self, blocks: range) -> int:
-        """Vectorised clean fill of a contiguous block range (see above).
-
-        Requires ``len(blocks) <= num_sets`` (so all set indices are
-        distinct) and predictor-table headroom (no displacements possible).
-        """
-        lines = self._lines
-        num_sets = self.num_sets
-        start, stop = blocks.start, blocks.stop
-        n = stop - start
-        shared = CacheBlockState.SHARED
-
-        if start % num_sets + n <= num_sets:
-            idx_list = range(start % num_sets, start % num_sets + n)
-        else:
-            idx_list = [b % num_sets for b in blocks]
-
-        # Eviction accounting for set conflicts with already-resident lines,
-        # in block order (rare relative to n).  ``same_block`` entries must
-        # keep their existing line object (state refreshed, dirty preserved).
-        victims_by_region = {}
-        same_block = []
-        predictor = self.miss_predictor
-        if lines:
-            evicted = []  # (inserting block, victim block), later sorted to
-            # recover the per-block processing order the loop path would use.
-            for index in lines.keys() & set(idx_list):
-                existing = lines[index]
-                block = start + (index - start) % num_sets
-                if existing.block == block:
-                    existing.state = shared
-                    same_block.append((index, existing, block))
-                    continue
-                self.evictions += 1
-                if existing.dirty:
-                    self.dirty_evictions += 1
-                evicted.append((block, existing.block))
-            if predictor is not None and evicted:
-                evicted.sort()
-                for block, victim_block in evicted:
-                    region = (block * predictor._block_size) // predictor.region_size
-                    victims_by_region.setdefault(region, []).append(victim_block)
-
-        lines.update(zip(idx_list, map(CacheLine, blocks)))
-        for index, existing, _block in same_block:
-            lines[index] = existing
-
-        if predictor is not None:
-            # Blocks already resident as themselves are *not* re-inserted by
-            # the per-block path, so they contribute no presence bit and no
-            # region touch.
-            skipped_by_region = {}
-            if same_block:
-                bs = predictor._block_size
-                rs = predictor.region_size
-                bpr_bits = predictor._blocks_per_region
-                for _index, _existing, block in same_block:
-                    region = (block * bs) // rs
-                    skipped_by_region[region] = skipped_by_region.get(region, 0) | (
-                        1 << (block % bpr_bits)
-                    )
-            # Region-batched predictor update, preserving the exact LRU order
-            # of the per-block path: within each region's chunk the evicted
-            # victims are noted first (in block order), then the region's
-            # presence bits are OR-ed in and the region moves to the back.
-            table = predictor._table
-            table_get = table.get
-            move_to_end = table.move_to_end
-            block_size = predictor._block_size
-            region_size = predictor.region_size
-            bpr = predictor._blocks_per_region
-            first_region = (start * block_size) // region_size
-            last_region = ((stop - 1) * block_size) // region_size
-            for region in range(first_region, last_region + 1):
-                for victim_block in victims_by_region.get(region, ()):
-                    victim_region = (victim_block * block_size) // region_size
-                    bits = table_get(victim_region)
-                    if bits is not None:
-                        table[victim_region] = bits & ~(1 << (victim_block % bpr))
-                        move_to_end(victim_region)
-                region_first = max(start, (region * region_size) // block_size)
-                region_stop = min(stop, ((region + 1) * region_size) // block_size)
-                mask = ((1 << (region_stop - region_first)) - 1) << (region_first % bpr)
-                mask &= ~skipped_by_region.get(region, 0)
-                if not mask:
-                    # Every block of this chunk was already resident: the
-                    # per-block path performs no insert and no region touch.
-                    continue
-                bits = table_get(region)
-                if bits is None:
-                    table[region] = mask
-                else:
-                    move_to_end(region)
-                    table[region] = bits | mask
-        return n
-
-    def _bulk_insert_clean_loop(self, blocks) -> int:
-        """Faithful per-block loop behind :meth:`bulk_insert_clean`."""
-        if self.associativity != 1:
-            count = 0
+        if self._can_fill_ranges(block_sets):
+            return self._bulk_fill_ranges(block_sets)
+        count = 0
+        for blocks in block_sets:
             for block in blocks:
                 self.insert(block, dirty=False)
                 count += 1
-            return count
+        return count
+
+    def _can_fill_ranges(self, block_sets) -> bool:
+        """Whether :meth:`_bulk_fill_ranges` reproduces the per-block inserts."""
+        if self.associativity != 1 or self._lines:
+            return False
+        if not all(
+            isinstance(blocks, range) and blocks.step == 1 and 0 < len(blocks) <= self.num_sets
+            for blocks in block_sets
+        ):
+            return False
+        ordered = sorted(block_sets, key=attrgetter("start"))
+        if any(before.stop > after.start for before, after in zip(ordered, ordered[1:])):
+            return False
+        predictor = self.miss_predictor
+        if predictor is None:
+            return True
+        # The region-batched predictor update cannot reproduce the order of
+        # table displacements, so every region the ranges touch must fit.
+        bpr = predictor._blocks_per_region
+        regions = sum((blocks.stop - 1) // bpr - blocks.start // bpr + 1 for blocks in block_sets)
+        return len(predictor._table) + regions < predictor.entries
+
+    def _bulk_fill_ranges(self, ranges) -> int:
+        """Vectorised clean fill of disjoint block ranges into an empty cache.
+
+        The tag store is tracked as occupant *runs* ``[lo, hi, block)``
+        (set ``i`` in ``[lo, hi)`` holds block ``block + i - lo``), so a
+        range evicts whole sub-runs and no per-block work is needed until
+        the surviving lines are built at the end.  The ranges are disjoint,
+        so an occupied set always holds a different block: every conflict
+        is an eviction (of a clean line).
+        """
+        num_sets = self.num_sets
+        predictor = self.miss_predictor
+        runs = []           # occupant runs, [lo, hi, block at lo]
+        first_fills = []    # set-index ranges in first-occupation order
+        count = 0
+        for blocks in ranges:
+            start, stop = blocks.start, blocks.stop
+            count += stop - start
+            first = start % num_sets
+            if first + (stop - start) <= num_sets:
+                pieces = ((first, first + stop - start, start),)
+            else:
+                pieces = ((first, num_sets, start),
+                          (0, first + stop - start - num_sets, start + num_sets - first))
+            # (inserting block, victim block, length), in inserting-block order.
+            victims = []
+            for lo, hi, block in pieces:
+                kept = []
+                overlaps = []
+                for run in runs:
+                    run_lo, run_hi, run_block = run
+                    over_lo = lo if lo > run_lo else run_lo
+                    over_hi = hi if hi < run_hi else run_hi
+                    if over_lo >= over_hi:
+                        kept.append(run)
+                        continue
+                    overlaps.append((over_lo, over_hi, run_block + over_lo - run_lo))
+                    if run_lo < over_lo:
+                        kept.append((run_lo, over_lo, run_block))
+                    if over_hi < run_hi:
+                        kept.append((over_hi, run_hi, run_block + over_hi - run_lo))
+                overlaps.sort()
+                cursor = lo
+                for over_lo, over_hi, victim_block in overlaps:
+                    if cursor < over_lo:
+                        first_fills.append(range(cursor, over_lo))
+                    victims.append((block + over_lo - lo, victim_block, over_hi - over_lo))
+                    self.evictions += over_hi - over_lo
+                    cursor = over_hi
+                if cursor < hi:
+                    first_fills.append(range(cursor, hi))
+                kept.append((lo, hi, block))
+                runs = kept
+            if predictor is not None:
+                self._predictor_fill_range(start, stop, victims)
 
         lines = self._lines
-        num_sets = self.num_sets
-        shared = CacheBlockState.SHARED
-        make_line = CacheLine
-        predictor = self.miss_predictor
-        if predictor is not None:
-            table = predictor._table
-            table_get = table.get
-            move_to_end = table.move_to_end
-            entries = predictor.entries
-            block_size = predictor._block_size
-            region_size = predictor.region_size
-            blocks_per_region = predictor._blocks_per_region
-        evictions = 0
-        dirty_evictions = 0
-        count = 0
-        for block in blocks:
-            count += 1
-            existing = lines.get(block % num_sets)
-            if existing is not None:
-                if existing.block == block:
-                    existing.state = shared
-                    continue
-                evictions += 1
-                if existing.dirty:
-                    dirty_evictions += 1
-                if predictor is not None:
-                    # Inlined RegionMissPredictor.note_evict(existing.block).
-                    victim_block = existing.block
-                    region = (victim_block * block_size) // region_size
-                    bits = table_get(region)
-                    if bits is not None:
-                        table[region] = bits & ~(1 << (victim_block % blocks_per_region))
-                        move_to_end(region)
-            lines[block % num_sets] = make_line(block=block, state=shared, dirty=False)
-            if predictor is not None:
-                # Inlined RegionMissPredictor.note_insert(block).
-                region = (block * block_size) // region_size
-                bits = table_get(region)
-                if bits is None:
-                    if len(table) >= entries:
-                        _victim, victim_bits = table.popitem(last=False)
-                        if victim_bits:
-                            predictor.region_displacements += 1
-                    bits = 0
-                else:
-                    move_to_end(region)
-                table[region] = bits | (1 << (block % blocks_per_region))
-        self.evictions += evictions
-        self.dirty_evictions += dirty_evictions
+        # Keys first, in first-occupation order (the per-block path's dict
+        # order), then the surviving line of every run.
+        lines.update(zip(chain.from_iterable(first_fills), repeat(None)))
+        for lo, hi, block in runs:
+            lines.update(zip(range(lo, hi), map(CacheLine, range(block, block + hi - lo))))
         return count
+
+    def _predictor_fill_range(self, start: int, stop: int, victims) -> None:
+        """Predictor updates of inserting ``[start, stop)`` over ``victims``.
+
+        Preserves the exact LRU order of the per-block path: within each
+        region's chunk of the range the victims are noted first (in block
+        order; a run of victims in one region is one clear and one move),
+        then the chunk's presence bits are OR-ed in and its region moves to
+        the back.  The caller guarantees table headroom (no displacement).
+        """
+        predictor = self.miss_predictor
+        table = predictor._table
+        table_get = table.get
+        move_to_end = table.move_to_end
+        bpr = predictor._blocks_per_region
+        for region in range(start // bpr, (stop - 1) // bpr + 1):
+            chunk_first = max(start, region * bpr)
+            chunk_stop = min(stop, (region + 1) * bpr)
+            for block, victim_block, length in victims:
+                lo = max(block, chunk_first)
+                hi = min(block + length, chunk_stop)
+                if lo >= hi:
+                    continue
+                victim_lo = victim_block + lo - block
+                victim_hi = victim_block + hi - block
+                for victim_region in range(victim_lo // bpr, (victim_hi - 1) // bpr + 1):
+                    run_lo = max(victim_lo, victim_region * bpr)
+                    run_hi = min(victim_hi, (victim_region + 1) * bpr)
+                    bits = table_get(victim_region)
+                    if bits is not None:
+                        table[victim_region] = bits & ~(
+                            ((1 << (run_hi - run_lo)) - 1) << (run_lo % bpr)
+                        )
+                        move_to_end(victim_region)
+            mask = ((1 << (chunk_stop - chunk_first)) - 1) << (chunk_first % bpr)
+            bits = table_get(region)
+            if bits is None:
+                table[region] = mask
+            else:
+                move_to_end(region)
+                table[region] = bits | mask
 
     def invalidate(self, block: int) -> Optional[CacheLine]:
         """Remove ``block`` (e.g. on a broadcast invalidation); return the line."""
@@ -439,8 +410,15 @@ class DRAMCache:
             if line is None:
                 return None
         self.invalidations += 1
-        if self.miss_predictor is not None:
-            self.miss_predictor.note_evict(block)
+        predictor = self.miss_predictor
+        if predictor is not None:
+            # Inlined RegionMissPredictor.note_evict.
+            table = predictor._table
+            region = (block * predictor._block_size) // predictor.region_size
+            bits = table.get(region)
+            if bits is not None:
+                table[region] = bits & ~(1 << (block % predictor._blocks_per_region))
+                table.move_to_end(region)
         return line
 
     def mark_clean(self, block: int) -> None:

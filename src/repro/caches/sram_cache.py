@@ -158,7 +158,7 @@ class SetAssociativeCache:
             if victim.dirty:
                 self.dirty_evictions += 1
 
-        line = CacheLine(block=block, state=state, dirty=dirty)
+        line = CacheLine(block, state, dirty)
         cache_set[block] = line
         if not self._intrusive:
             self.replacement.on_insert(line)
@@ -170,7 +170,7 @@ class SetAssociativeCache:
 
     def invalidate(self, block: int) -> Optional[CacheLine]:
         """Remove ``block`` and return the removed line (or ``None``)."""
-        cache_set = self._sets.get(self.set_index(block))
+        cache_set = self._sets.get(block % self.num_sets)
         if not cache_set:
             return None
         line = cache_set.pop(block, None)

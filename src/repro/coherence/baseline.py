@@ -8,9 +8,11 @@ served by a remote LLC goes to (possibly remote) main memory.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from ..interconnect.packet import MessageClass
 from .directory import DirectoryState
-from .messages import CoherenceRequestType, EvictionResult, MissResult, ServiceSource
+from .messages import ServiceSource
 from .protocol_base import GlobalCoherenceProtocol
 
 __all__ = ["BaselineProtocol"]
@@ -27,7 +29,7 @@ class BaselineProtocol(GlobalCoherenceProtocol):
     # Reads
     # ------------------------------------------------------------------
 
-    def read_miss(self, now: float, requester: int, block: int) -> MissResult:
+    def read_miss(self, now: float, requester: int, block: int) -> Tuple[float, ServiceSource]:
         home = self._home_of_block(block)
         directory = self.directories[home]
 
@@ -51,11 +53,15 @@ class BaselineProtocol(GlobalCoherenceProtocol):
         else:
             latency += self._memory_read(now + latency, home, block, requester)
             latency += self._net_send(now + latency, home, requester, MessageClass.DATA_RESPONSE)
-            self._directory_note_read_sharer(directory, block, requester)
+            # Inlined _directory_note_read_sharer (``entry`` is still current).
+            if entry is not None and entry.state is DirectoryState.MODIFIED:
+                directory.set_shared(block, set(entry.sharers) | {requester})
+            else:
+                directory.add_sharer(block, requester)
             source = (ServiceSource.LOCAL_MEMORY if home == requester
                       else ServiceSource.REMOTE_MEMORY)
 
-        return MissResult(latency=latency, source=source, request_type=CoherenceRequestType.GETS)
+        return latency, source
 
     # ------------------------------------------------------------------
     # Writes
@@ -69,18 +75,14 @@ class BaselineProtocol(GlobalCoherenceProtocol):
         *,
         thread_id: int = 0,
         has_shared_copy: bool = False,
-    ) -> MissResult:
+    ) -> Tuple[float, ServiceSource]:
         home = self._home_of_block(block)
         directory = self.directories[home]
-        request_type = (
-            CoherenceRequestType.UPGRADE if has_shared_copy else CoherenceRequestType.GETX
-        )
 
         latency = self._net_send(now, requester, home, MessageClass.REQUEST)
         latency += directory.latency_ns
         self.system.stats.directory_lookups += 1
         entry = directory.lookup(block)
-        invalidations = 0
 
         if (
             entry is not None
@@ -92,7 +94,6 @@ class BaselineProtocol(GlobalCoherenceProtocol):
             latency += self._fetch_from_remote_llc(
                 now + latency, home, owner, requester, block, downgrade=False
             )
-            invalidations = 1
             source = ServiceSource.REMOTE_LLC
         else:
             sharers = sorted(entry.sharers - {requester}) if entry is not None else []
@@ -104,7 +105,6 @@ class BaselineProtocol(GlobalCoherenceProtocol):
                         now + latency, home, target, block, include_dram_cache=False
                     ),
                 )
-                invalidations += 1
             data_latency = 0.0
             if has_shared_copy:
                 source = ServiceSource.LLC
@@ -119,12 +119,7 @@ class BaselineProtocol(GlobalCoherenceProtocol):
         directory.set_modified(block, requester)
         if has_shared_copy:
             self.system.stats.upgrades += 1
-        return MissResult(
-            latency=latency,
-            source=source,
-            request_type=request_type,
-            invalidations=invalidations,
-        )
+        return latency, source
 
     # ------------------------------------------------------------------
     # Evictions
@@ -132,17 +127,13 @@ class BaselineProtocol(GlobalCoherenceProtocol):
 
     def llc_eviction(
         self, now: float, requester: int, block: int, *, dirty: bool
-    ) -> EvictionResult:
-        result = EvictionResult()
-        home = self._home_of_block(block)
-        directory = self.directories[home]
+    ) -> None:
         if dirty:
-            result.latency = self._memory_write(now, home, block, requester)
-            result.wrote_memory = True
-            directory.invalidate(block)
+            home = self._home_of_block(block)
+            self._memory_write(now, home, block, requester)
+            self.directories[home].invalidate(block)
         # Clean (Shared) evictions are silent: the sharing vector becomes a
         # stale superset, which is still a valid over-approximation.
-        return result
 
     # ------------------------------------------------------------------
     # Functional (state-only) mirrors -- see GlobalCoherenceProtocol
@@ -151,19 +142,17 @@ class BaselineProtocol(GlobalCoherenceProtocol):
     def read_miss_functional(self, requester: int, block: int) -> None:
         directory = self.directories[self._home_of_block(block)]
         entry = directory.lookup(block)
-        if (
-            entry is not None
-            and entry.state is DirectoryState.MODIFIED
-            and entry.owner is not None
-            and entry.owner != requester
-        ):
-            owner = entry.owner
+        if entry is None or entry.state is not DirectoryState.MODIFIED:
+            directory.add_sharer(block, requester)
+            return
+        owner = entry.owner
+        if owner is not None and owner != requester:
             # Mirror of _fetch_from_remote_llc(downgrade=True): the owner
             # keeps a Shared copy (the write-through touches only counters).
             self.sockets[owner].downgrade_block(block)
             directory.set_shared(block, {owner, requester})
         else:
-            self._directory_note_read_sharer(directory, block, requester)
+            directory.set_shared(block, set(entry.sharers) | {requester})
 
     def write_miss_functional(
         self, requester: int, block: int, *, thread_id: int = 0,

@@ -34,12 +34,18 @@ class DirectoryState(enum.Enum):
     __hash__ = object.__hash__  # identity hashing, C-level
 
 
-#: Precomputed transition labels, so recording a transition does not format
-#: a string on every directory state change.
-_TRANSITION_KEYS = {}
+#: Precomputed transition labels, ``_TRANSITION_KEYS[new][old] == "old->new"``,
+#: so recording a transition neither formats a string nor builds a key tuple.
+_TRANSITION_KEYS = {
+    new: {old: f"{old.value}->{new.value}" for old in DirectoryState}
+    for new in DirectoryState
+}
+_TO_INVALID = _TRANSITION_KEYS[DirectoryState.INVALID]
+_TO_SHARED = _TRANSITION_KEYS[DirectoryState.SHARED]
+_TO_MODIFIED = _TRANSITION_KEYS[DirectoryState.MODIFIED]
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectoryEntry:
     """One tracked block."""
 
@@ -93,7 +99,7 @@ class GlobalDirectory:
     def _get_or_allocate(self, block: int) -> DirectoryEntry:
         entry = self._entries.get(block)
         if entry is None:
-            entry = DirectoryEntry(block=block)
+            entry = DirectoryEntry(block)
             self._entries[block] = entry
             self.allocations += 1
             if len(self._entries) > self.peak_entries:
@@ -101,7 +107,7 @@ class GlobalDirectory:
         return entry
 
     def _record_transition(self, old: DirectoryState, new: DirectoryState) -> None:
-        key = _TRANSITION_KEYS[(old, new)]
+        key = _TRANSITION_KEYS[new][old]
         self.transitions[key] = self.transitions.get(key, 0) + 1
 
     # -- state changes -------------------------------------------------------
@@ -111,11 +117,11 @@ class GlobalDirectory:
         entries = self._entries
         entry = entries.get(block)
         if entry is None:
-            entry = entries[block] = DirectoryEntry(block=block)
+            entry = entries[block] = DirectoryEntry(block)
             self.allocations += 1
             if len(entries) > self.peak_entries:
                 self.peak_entries = len(entries)
-        key = _TRANSITION_KEYS[(entry.state, DirectoryState.MODIFIED)]
+        key = _TO_MODIFIED[entry.state]
         self.transitions[key] = self.transitions.get(key, 0) + 1
         entry.state = DirectoryState.MODIFIED
         entry.owner = owner
@@ -138,14 +144,14 @@ class GlobalDirectory:
         entries = self._entries
         entry = entries.get(block)
         if entry is None:
-            entry = entries[block] = DirectoryEntry(block=block)
+            entry = entries[block] = DirectoryEntry(block)
             self.allocations += 1
             if len(entries) > self.peak_entries:
                 self.peak_entries = len(entries)
         if entry.state is DirectoryState.MODIFIED:
             raise ValueError(f"add_sharer on Modified block {block:#x}")
         if entry.state is DirectoryState.INVALID:
-            key = _TRANSITION_KEYS[(DirectoryState.INVALID, DirectoryState.SHARED)]
+            key = _TO_SHARED[DirectoryState.INVALID]
             self.transitions[key] = self.transitions.get(key, 0) + 1
             entry.state = DirectoryState.SHARED
         entry.sharers.add(socket)
@@ -166,7 +172,8 @@ class GlobalDirectory:
         """Remove the entry for ``block`` (transition to Invalid / untracked)."""
         entry = self._entries.pop(block, None)
         if entry is not None:
-            self._record_transition(entry.state, DirectoryState.INVALID)
+            key = _TO_INVALID[entry.state]
+            self.transitions[key] = self.transitions.get(key, 0) + 1
             self.deallocations += 1
 
     # -- inspection ----------------------------------------------------------
@@ -179,11 +186,6 @@ class GlobalDirectory:
 
     def tracked_blocks(self) -> Set[int]:
         return set(self._entries)
-
-
-_TRANSITION_KEYS.update(
-    {(a, b): f"{a.value}->{b.value}" for a in DirectoryState for b in DirectoryState}
-)
 
 
 @dataclass(frozen=True)

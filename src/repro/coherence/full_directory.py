@@ -16,8 +16,10 @@ block in a remote DRAM cache" pathology of Fig. 4.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from .directory import DirectoryState
-from .messages import CoherenceRequestType, EvictionResult, MissResult, ServiceSource
+from .messages import ServiceSource
 from .protocol_base import GlobalCoherenceProtocol
 
 __all__ = ["FullDirectoryProtocol"]
@@ -35,16 +37,12 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
     # Reads
     # ------------------------------------------------------------------
 
-    def read_miss(self, now: float, requester: int, block: int) -> MissResult:
+    def read_miss(self, now: float, requester: int, block: int) -> Tuple[float, ServiceSource]:
         hit, local_latency, _dirty = self._probe_local_dram_cache(now, requester, block)
         if hit:
             # The directory continues to track the requester (it already did,
             # by inclusivity), so no global transaction is needed.
-            return MissResult(
-                latency=local_latency,
-                source=ServiceSource.LOCAL_DRAM_CACHE,
-                request_type=CoherenceRequestType.GETS,
-            )
+            return local_latency, ServiceSource.LOCAL_DRAM_CACHE
 
         home = self.home_of(block)
         directory = self.directories[home]
@@ -77,7 +75,7 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
             self._directory_note_read_sharer(directory, block, requester)
             source = self._memory_source(home, requester)
 
-        return MissResult(latency=latency, source=source, request_type=CoherenceRequestType.GETS)
+        return latency, source
 
     def _fetch_from_owner_any_level(
         self, now: float, home: int, owner: int, requester: int, block: int
@@ -124,10 +122,7 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
         *,
         thread_id: int = 0,
         has_shared_copy: bool = False,
-    ) -> MissResult:
-        request_type = (
-            CoherenceRequestType.UPGRADE if has_shared_copy else CoherenceRequestType.GETX
-        )
+    ) -> Tuple[float, ServiceSource]:
         local_hit = False
         local_latency = 0.0
         if not has_shared_copy:
@@ -140,7 +135,6 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
         latency += directory.latency_ns
         self.stats.directory_lookups += 1
         entry = directory.lookup(block)
-        invalidations = 0
 
         if (
             entry is not None
@@ -159,7 +153,6 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
                 now + latency, home, owner, block, include_dram_cache=True
             )
             latency += self._data_response(now + latency, owner, requester)
-            invalidations = 1
         else:
             sharers = sorted(entry.sharers - {requester}) if entry is not None else []
             invalidation_latency = 0.0
@@ -170,7 +163,6 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
                         now + latency, home, target, block, include_dram_cache=True
                     ),
                 )
-                invalidations += 1
             data_latency = 0.0
             if has_shared_copy:
                 source = ServiceSource.LLC
@@ -185,12 +177,7 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
         directory.set_modified(block, requester)
         if has_shared_copy:
             self.stats.upgrades += 1
-        return MissResult(
-            latency=latency,
-            source=source,
-            request_type=request_type,
-            invalidations=invalidations,
-        )
+        return latency, source
 
     # ------------------------------------------------------------------
     # Evictions
@@ -198,23 +185,18 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
 
     def llc_eviction(
         self, now: float, requester: int, block: int, *, dirty: bool
-    ) -> EvictionResult:
-        result = EvictionResult()
-        sock = self.socket(requester)
-        if sock.dram_cache is None:
+    ) -> None:
+        if self.sockets[requester].dram_cache is None:
             if dirty:
                 home = self.home_of(block)
-                result.latency = self._memory_write(now, home, block, requester)
-                result.wrote_memory = True
+                self._memory_write(now, home, block, requester)
                 self.directories[home].invalidate(block)
-            return result
+            return
 
         # The victim (dirty or clean) is absorbed by the local DRAM cache; the
         # directory keeps tracking the block at this socket (inclusive of the
         # DRAM cache), so no directory transition happens here.
         self._insert_into_dram_cache(now, requester, block, dirty=dirty)
-        result.inserted_in_dram_cache = True
-        return result
 
     # ------------------------------------------------------------------
     # DRAM-cache eviction hooks (directory bookkeeping)

@@ -7,6 +7,12 @@ any) owns it in Modified state.  The socket uses it to invalidate peer L1
 copies on writes and to source data from a peer L1 that holds the block
 modified (avoiding an LLC data access).
 
+The sharing vector is an integer bit mask per block (bit ``c`` set when core
+``c`` holds the block), plus a separate owner map, so an L1 fill costs two
+dict operations and no per-block object.  :class:`repro.system.socket.Socket`
+updates the masks directly on its hot paths; the methods below are the
+public interface, and return sets of core ids.
+
 The local directory settings are identical in all evaluated designs, so it is
 part of the coherence substrate rather than of any particular protocol.
 """
@@ -14,14 +20,27 @@ part of the coherence substrate rather than of any particular protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, FrozenSet, Optional, Set
 
-__all__ = ["LocalDirectoryEntry", "LocalDirectory"]
+__all__ = ["LocalDirectoryEntry", "LocalDirectory", "MASK_CORES", "cores_of"]
+
+#: ``MASK_CORES[mask]`` is the set of cores whose bits are set in ``mask``,
+#: for the sharing vectors of sockets with up to eight cores.
+MASK_CORES = tuple(
+    frozenset(core for core in range(8) if mask >> core & 1) for mask in range(256)
+)
+
+
+def cores_of(mask: int) -> FrozenSet[int]:
+    """The set of cores whose bits are set in the sharing vector ``mask``."""
+    if mask < 256:
+        return MASK_CORES[mask]
+    return frozenset(core for core in range(mask.bit_length()) if mask >> core & 1)
 
 
 @dataclass
 class LocalDirectoryEntry:
-    """Per-block record of which cores cache the block inside a socket."""
+    """Snapshot of which cores cache a block inside a socket."""
 
     block: int
     sharers: Set[int] = field(default_factory=set)
@@ -34,7 +53,10 @@ class LocalDirectory:
     def __init__(self, *, latency_ns: float = 7 / 3.0, name: str = "local_directory") -> None:
         self.latency_ns = latency_ns
         self.name = name
-        self._entries: Dict[int, LocalDirectoryEntry] = {}
+        #: block -> non-zero sharing vector (a block with no sharers has no key).
+        self._sharers: Dict[int, int] = {}
+        #: block -> core holding it Modified (always one of its sharers).
+        self._owners: Dict[int, int] = {}
 
         self.lookups = 0
         self.peer_interventions = 0
@@ -43,71 +65,63 @@ class LocalDirectory:
     # -- queries ------------------------------------------------------------
 
     def lookup(self, block: int) -> Optional[LocalDirectoryEntry]:
-        """Return the entry for ``block`` (None when no core caches it)."""
+        """Return a snapshot of ``block``'s entry (None when no core caches it)."""
         self.lookups += 1
-        return self._entries.get(block)
+        return self.peek(block)
 
     def peek(self, block: int) -> Optional[LocalDirectoryEntry]:
-        return self._entries.get(block)
+        """Like :meth:`lookup`, without counting a lookup."""
+        mask = self._sharers.get(block)
+        if mask is None:
+            return None
+        return LocalDirectoryEntry(block, set(cores_of(mask)), self._owners.get(block))
 
-    def sharers_of(self, block: int) -> Set[int]:
-        entry = self._entries.get(block)
-        return set(entry.sharers) if entry else set()
+    def sharers_of(self, block: int) -> FrozenSet[int]:
+        return cores_of(self._sharers.get(block, 0))
 
     def owner_of(self, block: int) -> Optional[int]:
-        entry = self._entries.get(block)
-        return entry.owner if entry else None
+        return self._owners.get(block)
 
     # -- updates --------------------------------------------------------------
 
     def record_fill(self, block: int, core: int, *, modified: bool = False) -> None:
         """Record that ``core`` now holds ``block`` in its L1."""
-        entry = self._entries.get(block)
-        if entry is None:
-            entry = self._entries[block] = LocalDirectoryEntry(block=block)
-        entry.sharers.add(core)
+        sharers = self._sharers
+        sharers[block] = sharers.get(block, 0) | (1 << core)
         if modified:
-            entry.owner = core
-        elif entry.owner == core:
-            entry.owner = None
+            self._owners[block] = core
+        elif self._owners.get(block) == core:
+            del self._owners[block]
 
-    def record_write(self, block: int, core: int) -> Set[int]:
+    def record_write(self, block: int, core: int) -> FrozenSet[int]:
         """Record a write by ``core``; returns the peer cores to invalidate."""
-        entry = self._entries.get(block)
-        if entry is None:
-            entry = self._entries[block] = LocalDirectoryEntry(block=block)
-        peers = {c for c in entry.sharers if c != core}
+        bit = 1 << core
+        peers = cores_of(self._sharers.get(block, 0) & ~bit)
         if peers:
             self.peer_invalidations += len(peers)
-        entry.sharers = {core}
-        entry.owner = core
+        self._sharers[block] = bit
+        self._owners[block] = core
         return peers
 
     def record_eviction(self, block: int, core: int) -> None:
         """Record that ``core`` dropped its L1 copy of ``block``."""
-        entry = self._entries.get(block)
-        if entry is None:
+        mask = self._sharers.get(block)
+        if mask is None:
             return
-        entry.sharers.discard(core)
-        if entry.owner == core:
-            entry.owner = None
-        if not entry.sharers:
-            del self._entries[block]
+        mask &= ~(1 << core)
+        if mask:
+            self._sharers[block] = mask
+        else:
+            del self._sharers[block]
+        if self._owners.get(block) == core:
+            del self._owners[block]
 
-    #: Shared empty result for blocks with no residency info (hot path).
-    _NO_CORES = frozenset()
-
-    def invalidate_block(self, block: int) -> Set[int]:
-        """Drop all L1 residency info for ``block``; returns the cores affected.
-
-        The returned set must be treated as read-only (the entry it came
-        from has just been dropped, so no aliasing can occur inside the
-        directory itself).
-        """
-        entry = self._entries.pop(block, None)
-        if entry is None:
-            return self._NO_CORES
-        return entry.sharers
+    def invalidate_block(self, block: int) -> FrozenSet[int]:
+        """Drop all L1 residency info for ``block``; returns the cores affected."""
+        mask = self._sharers.pop(block, 0)
+        if mask:
+            self._owners.pop(block, None)
+        return cores_of(mask)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._sharers)

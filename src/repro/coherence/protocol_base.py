@@ -22,9 +22,12 @@ situations:
 * :meth:`llc_eviction` -- the LLC displaced a block and the victim must be
   handled (write-back, DRAM-cache insertion, directory update).
 
-All latencies are in nanoseconds and describe the critical path of the
-transaction as seen by the requesting socket.  Traffic and memory accesses
-are accounted on the shared :class:`~repro.stats.counters.SimulationStats`.
+:meth:`read_miss` and :meth:`write_miss` return a plain ``(latency_ns,
+source)`` tuple and :meth:`llc_eviction` returns nothing, so the timed miss
+path allocates no result record.  All latencies are in nanoseconds and
+describe the critical path of the transaction as seen by the requesting
+socket.  Traffic and memory accesses are accounted on the shared
+:class:`~repro.stats.counters.SimulationStats`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..interconnect.packet import MessageClass
 from .directory import DirectoryState, GlobalDirectory
-from .messages import EvictionResult, MissResult, ServiceSource
+from .messages import ServiceSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance for type checkers only
     from ..system.numa_system import NumaSystem
@@ -77,8 +80,11 @@ class GlobalCoherenceProtocol(ABC):
     # ------------------------------------------------------------------
 
     @abstractmethod
-    def read_miss(self, now: float, requester: int, block: int) -> MissResult:
-        """Service a demand read that missed the requester's on-chip hierarchy."""
+    def read_miss(self, now: float, requester: int, block: int) -> Tuple[float, ServiceSource]:
+        """Service a demand read that missed the requester's on-chip hierarchy.
+
+        Returns ``(latency_ns, source)``.
+        """
 
     @abstractmethod
     def write_miss(
@@ -89,11 +95,14 @@ class GlobalCoherenceProtocol(ABC):
         *,
         thread_id: int = 0,
         has_shared_copy: bool = False,
-    ) -> MissResult:
-        """Obtain Modified permission (and data if needed) for a store."""
+    ) -> Tuple[float, ServiceSource]:
+        """Obtain Modified permission (and data if needed) for a store.
+
+        Returns ``(latency_ns, source)``.
+        """
 
     @abstractmethod
-    def llc_eviction(self, now: float, requester: int, block: int, *, dirty: bool) -> EvictionResult:
+    def llc_eviction(self, now: float, requester: int, block: int, *, dirty: bool) -> None:
         """Handle an LLC victim produced by the requester socket."""
 
     # ------------------------------------------------------------------
@@ -104,9 +113,9 @@ class GlobalCoherenceProtocol(ABC):
     # without timing (docs/sampling.md).  These entry points perform exactly
     # the state mutations of their timed counterparts -- directory
     # transitions, peer invalidations/downgrades, DRAM-cache probes and
-    # inserts -- while skipping the latency arithmetic, message accounting
-    # and result allocation.  The defaults below simply run the timed entry
-    # points; they are only correct when the caller has installed functional
+    # inserts -- while skipping the latency arithmetic and message
+    # accounting.  The defaults below simply run the timed entry points;
+    # they are only correct when the caller has installed functional
     # timing (zero-latency interconnect/memory stubs, scratch statistics --
     # see ``EngineContext.functional_timing``), which the sampled engine
     # always does, so a design without a lean override stays state-exact.
@@ -229,10 +238,6 @@ class GlobalCoherenceProtocol(ABC):
             stats.dram_cache_misses += 1
         return probe.hit, latency, probe.dirty
 
-    def _dram_cache_contains(self, socket_id: int, block: int) -> bool:
-        sock = self.socket(socket_id)
-        return sock.dram_cache is not None and sock.dram_cache.contains(block)
-
     def _insert_into_dram_cache(self, now: float, socket_id: int, block: int, *, dirty: bool) -> None:
         """Insert an LLC victim into the socket's DRAM cache and handle its victim."""
         sock = self.sockets[socket_id]
@@ -310,9 +315,9 @@ class GlobalCoherenceProtocol(ABC):
         if include_dram_cache and target_socket.dram_cache is not None:
             target_socket.dram_cache.invalidate(block)
             probe = target_socket.dram_cache_latency_ns
-        if target_socket.llc.contains(block):
+        # The LLC is inclusive, so an on-chip copy means an LLC probe.
+        if target_socket.invalidate_onchip(block):
             probe = max(probe, target_socket.llc_latency_ns)
-        target_socket.invalidate_onchip(block)
         ack = send(now + out + probe, target, home, MessageClass.ACK)
         self.system.stats.invalidations_sent += 1
         return out + probe + ack

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 from ..caches.block import CacheBlockState
 from ..interconnect.packet import MessageClass
-from .messages import CoherenceRequestType, EvictionResult, MissResult, ServiceSource
+from .messages import ServiceSource
 from .protocol_base import GlobalCoherenceProtocol
 
 __all__ = ["SnoopyProtocol"]
@@ -115,14 +115,10 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
     # Reads
     # ------------------------------------------------------------------
 
-    def read_miss(self, now: float, requester: int, block: int) -> MissResult:
+    def read_miss(self, now: float, requester: int, block: int) -> Tuple[float, ServiceSource]:
         hit, local_latency, _dirty = self._probe_local_dram_cache(now, requester, block)
         if hit:
-            return MissResult(
-                latency=local_latency,
-                source=ServiceSource.LOCAL_DRAM_CACHE,
-                request_type=CoherenceRequestType.GETS,
-            )
+            return local_latency, ServiceSource.LOCAL_DRAM_CACHE
 
         home = self.home_of(block)
         start = now + local_latency
@@ -142,9 +138,7 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
 
         total = local_latency + max(memory_latency, snoop_latency)
         source = data_source if data_source is not None else self._memory_source(home, requester)
-        return MissResult(
-            latency=total, source=source, request_type=CoherenceRequestType.GETS
-        )
+        return total, source
 
     # ------------------------------------------------------------------
     # Writes
@@ -158,10 +152,7 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
         *,
         thread_id: int = 0,
         has_shared_copy: bool = False,
-    ) -> MissResult:
-        request_type = (
-            CoherenceRequestType.UPGRADE if has_shared_copy else CoherenceRequestType.GETX
-        )
+    ) -> Tuple[float, ServiceSource]:
         local_hit = False
         local_latency = 0.0
         if not has_shared_copy:
@@ -172,14 +163,12 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
 
         snoop_latency = 0.0
         data_source: Optional[ServiceSource] = None
-        invalidations = 0
         for target in range(self.num_sockets):
             if target == requester:
                 continue
             latency, source = self._snoop_socket(
                 start, requester, target, block, invalidate=True
             )
-            invalidations += 1
             snoop_latency = max(snoop_latency, latency)
             if source is not None:
                 data_source = source
@@ -197,13 +186,7 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
         self.stats.broadcasts += 1
         if has_shared_copy:
             self.stats.upgrades += 1
-        return MissResult(
-            latency=total,
-            source=source,
-            request_type=request_type,
-            invalidations=invalidations,
-            used_broadcast=True,
-        )
+        return total, source
 
     # ------------------------------------------------------------------
     # Evictions
@@ -211,14 +194,8 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
 
     def llc_eviction(
         self, now: float, requester: int, block: int, *, dirty: bool
-    ) -> EvictionResult:
-        result = EvictionResult()
-        sock = self.socket(requester)
-        if sock.dram_cache is not None:
+    ) -> None:
+        if self.sockets[requester].dram_cache is not None:
             self._insert_into_dram_cache(now, requester, block, dirty=dirty)
-            result.inserted_in_dram_cache = True
         elif dirty:
-            home = self.home_of(block)
-            result.latency = self._memory_write(now, home, block, requester)
-            result.wrote_memory = True
-        return result
+            self._memory_write(now, self.home_of(block), block, requester)

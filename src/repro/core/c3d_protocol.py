@@ -31,20 +31,23 @@ Directory stable states and transitions follow Fig. 5:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..coherence.directory import DirectoryState
-from ..coherence.messages import (
-    CoherenceRequestType,
-    EvictionResult,
-    MissResult,
-    ServiceSource,
-)
+from ..coherence.messages import ServiceSource
 from ..coherence.protocol_base import GlobalCoherenceProtocol
 from ..interconnect.packet import MessageClass
 from .page_classifier import PrivateSharedClassifier
 
 __all__ = ["C3DProtocol"]
+
+_MODIFIED = DirectoryState.MODIFIED
+_SHARED = DirectoryState.SHARED
+_REQUEST = MessageClass.REQUEST
+_DATA_RESPONSE = MessageClass.DATA_RESPONSE
+_LOCAL_DRAM_CACHE = ServiceSource.LOCAL_DRAM_CACHE
+_LOCAL_MEMORY = ServiceSource.LOCAL_MEMORY
+_REMOTE_MEMORY = ServiceSource.REMOTE_MEMORY
 
 
 class C3DProtocol(GlobalCoherenceProtocol):
@@ -65,39 +68,64 @@ class C3DProtocol(GlobalCoherenceProtocol):
     # Reads
     # ------------------------------------------------------------------
 
-    def read_miss(self, now: float, requester: int, block: int) -> MissResult:
+    def read_miss(self, now: float, requester: int, block: int) -> Tuple[float, ServiceSource]:
         # Fast local hit: a read hit in the local DRAM cache completes with no
         # messages to remote sockets (first bullet of section IV-B summary).
-        # (Inlined _probe_local_dram_cache: this is the hottest C3D path.)
         stats = self.system.stats
         sock = self.sockets[requester]
         dram_cache = sock.dram_cache
-        local_latency = 0.0
+        latency = 0.0
         if dram_cache is not None:
-            local_latency = sock.dram_predictor_latency_ns
-            probe = dram_cache.probe(block)
-            if probe.array_accessed:
-                local_latency += sock.dram_cache_latency_ns
-            if probe.hit:
-                stats.dram_cache_hits += 1
-                return MissResult(
-                    latency=local_latency,
-                    source=ServiceSource.LOCAL_DRAM_CACHE,
-                    request_type=CoherenceRequestType.GETS,
-                )
+            latency = sock.dram_predictor_latency_ns
+            predictor = dram_cache.miss_predictor
+            if predictor is not None and dram_cache.associativity == 1:
+                # Inlined DRAMCache.probe (this is the hottest C3D path): the
+                # array is accessed unless the predictor says "absent" and
+                # the tag store agrees.
+                predictor.lookups += 1
+                table = predictor._table
+                region = (block * predictor._block_size) // predictor.region_size
+                bits = table.get(region)
+                present = False
+                if bits is None:
+                    predictor.untracked_lookups += 1
+                    predictor.predicted_miss += 1
+                else:
+                    table.move_to_end(region)
+                    if bits & (1 << (block % predictor._blocks_per_region)):
+                        predictor.predicted_present += 1
+                        present = True
+                    else:
+                        predictor.predicted_miss += 1
+                line = dram_cache._lines.get(block % dram_cache.num_sets)
+                if line is not None and line.block == block:
+                    dram_cache.hits += 1
+                    stats.dram_cache_hits += 1
+                    return latency + sock.dram_cache_latency_ns, _LOCAL_DRAM_CACHE
+                dram_cache.misses += 1
+                if present:
+                    latency += sock.dram_cache_latency_ns
+                else:
+                    dram_cache.predictor_bypasses += 1
+            else:
+                probe = dram_cache.probe(block)
+                if probe.array_accessed:
+                    latency += sock.dram_cache_latency_ns
+                if probe.hit:
+                    stats.dram_cache_hits += 1
+                    return latency, _LOCAL_DRAM_CACHE
             stats.dram_cache_misses += 1
 
         home = self._home_of_block(block)
         directory = self.directories[home]
-        latency = local_latency
-        latency += self._net_send(now + latency, requester, home, MessageClass.REQUEST)
+        latency += self._net_send(now + latency, requester, home, _REQUEST)
         latency += directory.latency_ns
         stats.directory_lookups += 1
         entry = directory.lookup(block)
 
         if (
             entry is not None
-            and entry.state is DirectoryState.MODIFIED
+            and entry.state is _MODIFIED
             and entry.owner is not None
             and entry.owner != requester
         ):
@@ -109,22 +137,15 @@ class C3DProtocol(GlobalCoherenceProtocol):
                 now + latency, home, owner, requester, block, downgrade=True
             )
             directory.set_shared(block, {owner, requester})
-            source = ServiceSource.REMOTE_LLC
-        elif entry is not None and entry.state is DirectoryState.SHARED:
-            latency += self._memory_read(now + latency, home, block, requester)
-            latency += self._net_send(now + latency, home, requester, MessageClass.DATA_RESPONSE)
+            return latency, ServiceSource.REMOTE_LLC
+        # Shared, or Invalid / untracked: memory is guaranteed valid (clean
+        # DRAM caches).  Only a Shared entry records the new sharer; an
+        # untracked read is NOT inserted into the directory.
+        latency += self._memory_read(now + latency, home, block, requester)
+        latency += self._net_send(now + latency, home, requester, _DATA_RESPONSE)
+        if entry is not None and entry.state is _SHARED:
             directory.add_sharer(block, requester)
-            source = (ServiceSource.LOCAL_MEMORY if home == requester
-                      else ServiceSource.REMOTE_MEMORY)
-        else:
-            # Invalid / untracked: memory is guaranteed valid (clean DRAM
-            # caches) and the request is NOT inserted into the directory.
-            latency += self._memory_read(now + latency, home, block, requester)
-            latency += self._net_send(now + latency, home, requester, MessageClass.DATA_RESPONSE)
-            source = (ServiceSource.LOCAL_MEMORY if home == requester
-                      else ServiceSource.REMOTE_MEMORY)
-
-        return MissResult(latency=latency, source=source, request_type=CoherenceRequestType.GETS)
+        return latency, (_LOCAL_MEMORY if home == requester else _REMOTE_MEMORY)
 
     # ------------------------------------------------------------------
     # Writes
@@ -152,9 +173,9 @@ class C3DProtocol(GlobalCoherenceProtocol):
             if target_socket.dram_cache is not None:
                 target_socket.dram_cache.invalidate(block)
                 probe = target_socket.dram_cache_latency_ns
-            if target_socket.llc.contains(block):
+            # The LLC is inclusive, so an on-chip copy means an LLC probe.
+            if target_socket.invalidate_onchip(block):
                 probe = max(probe, target_socket.llc_latency_ns)
-            target_socket.invalidate_onchip(block)
             ack = send(now + out + probe, target, home, ack_class)
             stats.invalidations_sent += 1
             latency = out + probe + ack
@@ -171,23 +192,49 @@ class C3DProtocol(GlobalCoherenceProtocol):
         *,
         thread_id: int = 0,
         has_shared_copy: bool = False,
-    ) -> MissResult:
-        request_type = (
-            CoherenceRequestType.UPGRADE if has_shared_copy else CoherenceRequestType.GETX
-        )
+    ) -> Tuple[float, ServiceSource]:
         stats = self.system.stats
         local_hit = False
-        local_latency = 0.0
+        latency = 0.0
         if not has_shared_copy:
-            # Inlined _probe_local_dram_cache.
             sock = self.sockets[requester]
             dram_cache = sock.dram_cache
             if dram_cache is not None:
-                local_latency = sock.dram_predictor_latency_ns
-                probe = dram_cache.probe(block)
-                if probe.array_accessed:
-                    local_latency += sock.dram_cache_latency_ns
-                local_hit = probe.hit
+                latency = sock.dram_predictor_latency_ns
+                predictor = dram_cache.miss_predictor
+                if predictor is not None and dram_cache.associativity == 1:
+                    # Inlined DRAMCache.probe, as in read_miss.
+                    predictor.lookups += 1
+                    table = predictor._table
+                    region = (block * predictor._block_size) // predictor.region_size
+                    bits = table.get(region)
+                    present = False
+                    if bits is None:
+                        predictor.untracked_lookups += 1
+                        predictor.predicted_miss += 1
+                    else:
+                        table.move_to_end(region)
+                        if bits & (1 << (block % predictor._blocks_per_region)):
+                            predictor.predicted_present += 1
+                            present = True
+                        else:
+                            predictor.predicted_miss += 1
+                    line = dram_cache._lines.get(block % dram_cache.num_sets)
+                    if line is not None and line.block == block:
+                        dram_cache.hits += 1
+                        latency += sock.dram_cache_latency_ns
+                        local_hit = True
+                    else:
+                        dram_cache.misses += 1
+                        if present:
+                            latency += sock.dram_cache_latency_ns
+                        else:
+                            dram_cache.predictor_bypasses += 1
+                else:
+                    probe = dram_cache.probe(block)
+                    if probe.array_accessed:
+                        latency += sock.dram_cache_latency_ns
+                    local_hit = probe.hit
                 if local_hit:
                     stats.dram_cache_hits += 1
                 else:
@@ -195,17 +242,14 @@ class C3DProtocol(GlobalCoherenceProtocol):
 
         home = self._home_of_block(block)
         directory = self.directories[home]
-        latency = local_latency
-        latency += self._net_send(now + latency, requester, home, MessageClass.REQUEST)
+        latency += self._net_send(now + latency, requester, home, _REQUEST)
         latency += directory.latency_ns
         stats.directory_lookups += 1
         entry = directory.lookup(block)
-        invalidations = 0
-        used_broadcast = False
 
         if (
             entry is not None
-            and entry.state is DirectoryState.MODIFIED
+            and entry.state is _MODIFIED
             and entry.owner is not None
             and entry.owner != requester
         ):
@@ -213,20 +257,17 @@ class C3DProtocol(GlobalCoherenceProtocol):
             latency += self._invalidate_remote_socket(
                 now + latency, home, owner, block, include_dram_cache=True
             )
-            latency += self._data_response(now + latency, owner, requester)
-            invalidations = 1
+            latency += self._net_send(now + latency, owner, requester, _DATA_RESPONSE)
             source = ServiceSource.REMOTE_LLC
-        elif entry is not None and entry.state is DirectoryState.SHARED:
-            sharers = sorted(entry.sharers - {requester})
+        elif entry is not None and entry.state is _SHARED:
             invalidation_latency = 0.0
-            for target in sharers:
+            for target in sorted(entry.sharers - {requester}):
                 invalidation_latency = max(
                     invalidation_latency,
                     self._invalidate_remote_socket(
                         now + latency, home, target, block, include_dram_cache=True
                     ),
                 )
-                invalidations += 1
             data_latency, source = self._write_data_path(
                 now + latency, requester, home, block,
                 has_shared_copy=has_shared_copy, local_hit=local_hit,
@@ -244,8 +285,6 @@ class C3DProtocol(GlobalCoherenceProtocol):
                 broadcast_latency = self._broadcast_invalidations(
                     now + latency, requester, home, block
                 )
-                invalidations += self.num_sockets - 1
-                used_broadcast = True
             data_latency, source = self._write_data_path(
                 now + latency, requester, home, block,
                 has_shared_copy=has_shared_copy, local_hit=local_hit,
@@ -258,13 +297,7 @@ class C3DProtocol(GlobalCoherenceProtocol):
         directory.set_modified(block, requester)
         if has_shared_copy:
             stats.upgrades += 1
-        return MissResult(
-            latency=latency,
-            source=source,
-            request_type=request_type,
-            invalidations=invalidations,
-            used_broadcast=used_broadcast,
-        )
+        return latency, source
 
     def _write_data_path(
         self,
@@ -275,19 +308,17 @@ class C3DProtocol(GlobalCoherenceProtocol):
         *,
         has_shared_copy: bool,
         local_hit: bool,
-    ):
+    ) -> Tuple[float, ServiceSource]:
         """Latency and source of the data portion of a write transaction."""
         if has_shared_copy:
             return 0.0, ServiceSource.LLC
         if local_hit:
             # Clean local DRAM-cache copy provides the data; memory is not
             # accessed (its copy is identical).
-            return 0.0, ServiceSource.LOCAL_DRAM_CACHE
+            return 0.0, _LOCAL_DRAM_CACHE
         data_latency = self._memory_read(now, home, block, requester)
-        data_latency += self._net_send(now + data_latency, home, requester,
-                                       MessageClass.DATA_RESPONSE)
-        return data_latency, (ServiceSource.LOCAL_MEMORY if home == requester
-                              else ServiceSource.REMOTE_MEMORY)
+        data_latency += self._net_send(now + data_latency, home, requester, _DATA_RESPONSE)
+        return data_latency, (_LOCAL_MEMORY if home == requester else _REMOTE_MEMORY)
 
     # ------------------------------------------------------------------
     # Functional (state-only) mirrors -- see GlobalCoherenceProtocol
@@ -371,28 +402,19 @@ class C3DProtocol(GlobalCoherenceProtocol):
     # Evictions
     # ------------------------------------------------------------------
 
-    def llc_eviction(
-        self, now: float, requester: int, block: int, *, dirty: bool
-    ) -> EvictionResult:
-        result = EvictionResult()
-        sock = self.sockets[requester]
-        home = self._home_of_block(block)
-        directory = self.directories[home]
-
-        if sock.dram_cache is not None:
+    def llc_eviction(self, now: float, requester: int, block: int, *, dirty: bool) -> None:
+        dram_cache = self.sockets[requester].dram_cache
+        if dram_cache is not None:
             # Victim cache: retain a clean copy locally regardless of
             # dirtiness.  The DRAM cache is clean, so its victims never need
             # a writeback and can be dropped on the floor directly.
-            sock.dram_cache.insert(block, dirty=False)
-            result.inserted_in_dram_cache = True
-
+            dram_cache.insert(block, dirty=False)
         if dirty:
             # PutX: write the data through to the home memory; the directory
             # acknowledges and transitions Modified -> Invalid (Fig. 5).
-            result.latency = self._memory_write(now, home, block, requester)
-            result.wrote_memory = True
-            self.stats.write_throughs += 1
-            directory.invalidate(block)
+            home = self._home_of_block(block)
+            self._memory_write(now, home, block, requester)
+            self.system.stats.write_throughs += 1
+            self.directories[home].invalidate(block)
         # Clean (Shared) LLC evictions are silent; the sharing vector becomes
         # a superset, which remains valid.
-        return result

@@ -23,6 +23,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Core"]
 
+_MODIFIED = CacheBlockState.MODIFIED
+
 
 class Core:
     """One in-order, single-issue core."""
@@ -45,8 +47,6 @@ class Core:
         self.store_buffer = StoreBuffer(store_buffer_entries)
         self.tlb = TLB(tlb_entries)
         self.instructions = 0
-        self.loads = 0
-        self.stores = 0
         #: Socket-local L1 index, fixed at construction (hot-loop fast path).
         self.local_index = socket.local_index_of(core_id)
         #: This core's L1, plus whether its recency can be maintained
@@ -93,17 +93,19 @@ class Core:
 
         Takes precomputed block/page numbers, hoists the attribute and
         property lookups of the legacy path into locals and inlines the TLB,
-        the store-buffer empty checks and the L1 hit path (the L1 is LRU in
-        every evaluated configuration, so its recency update is the same
-        intrusive move the cache itself would perform).  The sequence of
-        architectural and statistics updates is identical to ``execute`` (the
-        engine equivalence golden test asserts this), only the Python-level
-        indirection differs.
+        the store buffer (drain, forwarding scan and push) and the L1 hit
+        path (the L1 is LRU in every evaluated configuration, so its recency
+        update is the same intrusive move the cache itself would perform).
+        The sequence of architectural and statistics updates is identical to
+        ``execute`` (the engine equivalence golden test asserts this), only
+        the Python-level indirection differs.
         """
         time = self.time
         if gap > 0:
             time += gap * self.cycle_ns
-            self.instructions += gap
+            self.instructions += gap + 1
+        else:
+            self.instructions += 1
         # Inlined TLB access (the charged latency is zero by default and the
         # legacy path discards it; only the hit/miss accounting matters here).
         tlb = self.tlb
@@ -116,20 +118,18 @@ class Core:
             if len(tlb_pages) >= tlb.entries:
                 tlb_pages.popitem(last=False)
             tlb_pages[page] = None
-        self.instructions += 1
         socket = self.socket
         stats = socket.system.stats
         stats.instructions += 1
         store_buffer = self.store_buffer
+        entries = store_buffer._entries
+        l1 = self.l1
 
         if is_write:
-            self.stores += 1
             stats.writes += 1
-            entries = store_buffer._entries
             while entries and entries[0][0] <= time:
                 entries.popleft()
             # Inlined L1 lookup + store hit path (see _access_fast).
-            l1 = self.l1
             if self._l1_fast:
                 cache_set = l1._sets.get(block % l1.num_sets)
                 line = cache_set.get(block) if cache_set is not None else None
@@ -141,51 +141,76 @@ class Core:
                     l1.misses += 1
             else:
                 line = l1.lookup(block)
-            if line is not None and line.state is CacheBlockState.MODIFIED:
+            if line is not None and line.state is _MODIFIED:
                 stats.l1_hits += 1
                 line.dirty = True
-                llc_line = socket.llc.peek(block)
-                if llc_line is not None:
-                    llc_line.dirty = True
+                # Inlined socket.llc.peek: the inclusive LLC copy is dirty too.
+                llc = socket.llc
+                llc_set = llc._sets.get(block % llc.num_sets)
+                if llc_set is not None:
+                    llc_line = llc_set.get(block)
+                    if llc_line is not None:
+                        llc_line.dirty = True
                 latency = socket.l1_latency_ns
             else:
                 stats.l1_misses += 1
                 latency, _source = socket.access_l1_missed(
                     time, self.local_index, block, True, self.thread_id
                 )
-            result = store_buffer.push(time, block, time + latency)
-            if result.stall_ns > 0:
+            # Inlined StoreBuffer.push (the buffer was drained up to ``time``
+            # above).  A full buffer stalls the core until its oldest store
+            # retires; stores complete in order, one at a time (TSO).
+            completion = time + latency
+            if len(entries) >= store_buffer.capacity:
+                stall_ns = entries[0][0] - time
+                store_buffer.stalls += 1
+                store_buffer.total_stall_ns += stall_ns
                 stats.store_buffer_stalls += 1
-                stats.store_buffer_stall_ns += result.stall_ns
-                time += result.stall_ns
+                stats.store_buffer_stall_ns += stall_ns
+                time += stall_ns
+                while entries and entries[0][0] <= time:
+                    entries.popleft()
+                if time > completion:
+                    completion = time
+            if entries and entries[-1][0] > completion:
+                completion = entries[-1][0]
+            entries.append((completion, block))
+            store_buffer.pushes += 1
             time += self.cycle_ns
             acc = stats.write_latency
         else:
-            self.loads += 1
             stats.reads += 1
-            if store_buffer._entries and store_buffer.forwards(block, time):
+            # Inlined StoreBuffer.forwards (TSO store-to-load forwarding).
+            forwarded = False
+            if entries:
+                while entries and entries[0][0] <= time:
+                    entries.popleft()
+                for _completion, pending_block in entries:
+                    if pending_block == block:
+                        store_buffer.forward_hits += 1
+                        forwarded = True
+                        break
+            if forwarded:
                 latency = socket.l1_latency_ns
                 stats.store_forward_hits += 1
-            else:
+            elif self._l1_fast:
                 # Inlined L1 lookup + load hit path (see _access_fast).
-                l1 = self.l1
-                if self._l1_fast:
-                    cache_set = l1._sets.get(block % l1.num_sets)
-                    line = cache_set.get(block) if cache_set is not None else None
-                    if line is not None:
-                        l1.hits += 1
-                        del cache_set[block]
-                        cache_set[block] = line
-                        stats.l1_hits += 1
-                        latency = socket.l1_latency_ns
-                    else:
-                        l1.misses += 1
-                        stats.l1_misses += 1
-                        latency, _source = socket.access_l1_missed(
-                            time, self.local_index, block, False, self.thread_id
-                        )
+                cache_set = l1._sets.get(block % l1.num_sets)
+                line = cache_set.get(block) if cache_set is not None else None
+                if line is not None:
+                    l1.hits += 1
+                    del cache_set[block]
+                    cache_set[block] = line
+                    stats.l1_hits += 1
+                    latency = socket.l1_latency_ns
                 else:
-                    latency = self._access_fast(time, block, False, stats)
+                    l1.misses += 1
+                    stats.l1_misses += 1
+                    latency, _source = socket.access_l1_missed(
+                        time, self.local_index, block, False, self.thread_id
+                    )
+            else:
+                latency = self._access_fast(time, block, False, stats)
             time += latency
             acc = stats.read_latency
         acc.total += latency
@@ -226,7 +251,6 @@ class Core:
         return latency
 
     def _execute_load(self, block: int) -> None:
-        self.loads += 1
         self.stats.reads += 1
         if self.store_buffer.forwards(block, self.time):
             # TSO store-to-load forwarding: the youngest matching store's data
@@ -242,7 +266,6 @@ class Core:
         self.stats.read_latency.add(latency)
 
     def _execute_store(self, block: int) -> None:
-        self.stores += 1
         self.stats.writes += 1
         self.store_buffer.drain(self.time)
         latency, _source = self.socket.access(

@@ -256,19 +256,23 @@ class EngineContext:
             if sock.dram_cache is None:
                 continue
             capacity_blocks = max(1, int(sock.dram_cache.num_sets * fill_fraction))
-            inserted = 0
+            block_ranges = []
             for region in shared_regions:
                 base_block = layout.block_of(region["base"])
                 num_blocks = max(1, region["size"] // layout.block_size)
-                block_range = range(base_block, base_block + min(num_blocks, capacity_blocks))
-                if track_in_directory:
+                block_ranges.append(
+                    range(base_block, base_block + min(num_blocks, capacity_blocks))
+                )
+            if track_in_directory:
+                inserted = 0
+                for block_range in block_ranges:
                     for block in block_range:
                         sock.dram_cache.insert(block, dirty=False)
                         inserted += 1
                         home = system.mapper.home_of_block(block)
                         system.directories[home].add_sharer(block, sock.socket_id)
-                else:
-                    inserted += sock.dram_cache.bulk_insert_clean(block_range)
+            else:
+                inserted = sock.dram_cache.bulk_insert_clean(*block_ranges)
             max_inserted = max(max_inserted, inserted)
         return max_inserted
 
@@ -369,10 +373,11 @@ class EngineContext:
         Executes the same access interleaving as :meth:`run_phase_object`
         (smallest ``(core time, core id)`` first) with the per-access Python
         overhead stripped out: no generator resumption, no ``MemoryAccess``
-        allocation, no address arithmetic (block/page are precomputed), a
-        single ``heappushpop`` per access instead of a push/pop pair -- and
-        no heap at all when at most two cores are active (a direct two-stream
-        merge).
+        allocation, no address arithmetic (block/page are precomputed, and
+        each access is fetched as one tuple from a C-level ``zip`` over the
+        trace columns), a single ``heappushpop`` per access instead of a
+        push/pop pair -- and no heap at all when at most two cores are
+        active (a direct two-stream merge).
         """
         system = self.system
         classifier = system.page_classifier
@@ -383,62 +388,65 @@ class EngineContext:
         config = system.config
         cores = system.cores
 
-        # Per-core state tuples indexed by core id:
-        # (blocks, pages, addrs, writes, gaps, execute_fast, socket_id, thread_id)
+        # Per-core state indexed by core id: (next access, execute_fast,
+        # socket_id, thread_id), where ``next access`` returns the window's
+        # (block, page, write, gap, addr) tuples in order; plus the number of
+        # accesses left in each window.
         states = {}
-        ends = {}
+        remaining = {}
         for core_id, trace in traces.items():
             start = cursors[core_id]
             end = trace.length if limit_per_core is None else min(
                 trace.length, start + limit_per_core
             )
-            ends[core_id] = end
             if start >= end:
                 continue
             core = cores[core_id]
+            # Index into the columns rather than slicing them (a copy of
+            # every column) or ``islice``-ing them (which walks, and so
+            # touches the reference count of, every element before
+            # ``start`` -- costly copy-on-write in the sampled engine's
+            # forked window children).
+            window = range(start, end)
             states[core_id] = (
-                trace.blocks,
-                trace.pages,
-                trace.addrs,
-                trace.writes,
-                trace.gaps,
+                zip(*(
+                    map(column.__getitem__, window)
+                    for column in (trace.blocks, trace.pages, trace.writes, trace.gaps,
+                                   trace.addrs)
+                )).__next__,
                 core.execute_fast,
                 config.socket_of_core(core_id),
                 core.thread_id,
             )
+            remaining[core_id] = end - start
+            # Every window runs to its end before this method returns.
+            cursors[core_id] = end
         if not states:
             return 0
 
-        executed = 0
-
         def run_one(core_id: int) -> float:
             """Execute one access of ``core_id``; returns the core's new time."""
-            blocks, pages, addrs, writes, gaps, execute_fast, socket_id, thread_id = states[
-                core_id
-            ]
-            i = cursors[core_id]
-            page = pages[i]
-            # Inlined AddressMapper.touch_page.
-            home = home_of_page(page, socket_id)
+            fetch, execute_fast, socket_id, thread_id = states[core_id]
+            block, page, write, gap, addr = fetch()
+            # Inlined AddressMapper.touch_page; a touched page is already
+            # placed (the policies are idempotent), so only a first touch
+            # consults the policy.
             if page not in touched_pages:
-                touched_pages[page] = home
+                touched_pages[page] = home_of_page(page, socket_id)
             if record_access is not None:
-                record_access(thread_id, addrs[i])
-            new_time = execute_fast(blocks[i], page, writes[i], gaps[i])
-            cursors[core_id] = i + 1
-            return new_time
+                record_access(thread_id, addr)
+            return execute_fast(block, page, write, gap)
 
         if len(states) <= 2:
             # Two-stream merge: compare the two head entries directly.
             entries = sorted((cores[cid].time, cid) for cid in states)
             if len(entries) == 1:
                 (_t, cid), = entries
-                end = ends[cid]
-                while cursors[cid] < end:
+                for _ in range(remaining[cid]):
                     run_one(cid)
-                    executed += 1
-                return executed
+                return remaining[cid]
             a, b = entries
+            executed = 0
             while True:
                 if a <= b:
                     current, other = a, b
@@ -447,14 +455,13 @@ class EngineContext:
                 cid = current[1]
                 new_time = run_one(cid)
                 executed += 1
-                if cursors[cid] >= ends[cid]:
+                remaining[cid] -= 1
+                if not remaining[cid]:
                     # Drain the remaining stream alone.
                     cid = other[1]
-                    end = ends[cid]
-                    while cursors[cid] < end:
+                    for _ in range(remaining[cid]):
                         run_one(cid)
-                        executed += 1
-                    return executed
+                    return executed + remaining[cid]
                 a, b = (new_time, cid), other
 
         heap = [(cores[cid].time, cid) for cid in states]
@@ -462,26 +469,22 @@ class EngineContext:
         heappop = heapq.heappop
         heappushpop = heapq.heappushpop
 
+        executed = 0
         current = heappop(heap)
         while True:
             cid = current[1]
             # Inlined run_one (this loop executes once per simulated access).
-            blocks, pages, addrs, writes, gaps, execute_fast, socket_id, thread_id = states[
-                cid
-            ]
-            i = cursors[cid]
-            page = pages[i]
-            # Inlined AddressMapper.touch_page.
-            home = home_of_page(page, socket_id)
+            fetch, execute_fast, socket_id, thread_id = states[cid]
+            block, page, write, gap, addr = fetch()
             if page not in touched_pages:
-                touched_pages[page] = home
+                touched_pages[page] = home_of_page(page, socket_id)
             if record_access is not None:
-                record_access(thread_id, addrs[i])
-            new_time = execute_fast(blocks[i], page, writes[i], gaps[i])
-            i += 1
-            cursors[cid] = i
+                record_access(thread_id, addr)
+            new_time = execute_fast(block, page, write, gap)
             executed += 1
-            if i < ends[cid]:
+            left = remaining[cid] - 1
+            remaining[cid] = left
+            if left:
                 current = heappushpop(heap, (new_time, cid))
             elif heap:
                 current = heappop(heap)

@@ -416,7 +416,8 @@ class SampledEngine(ExecutionEngine):
                 l1._sets if getattr(l1, "_touch_moves", False) else None,
                 l1.num_sets,
                 socket.socket_id,
-                socket.llc.peek,
+                socket.llc._sets,
+                socket.llc.num_sets,
             ))
 
         executed = 0
@@ -427,7 +428,7 @@ class SampledEngine(ExecutionEngine):
             for state in active:
                 (core_id, blocks, pages, addrs, writes, end,
                  local_index, thread_id, access_functional, l1_sets,
-                 num_sets, socket_id, llc_peek) = state
+                 num_sets, socket_id, llc_sets, llc_num_sets) = state
                 i = cursors[core_id]
                 stop = min(end, i + chunk)
                 executed += stop - i
@@ -459,13 +460,16 @@ class SampledEngine(ExecutionEngine):
                             del cache_set[block]
                             cache_set[block] = line
                         elif line.state is _MODIFIED:
-                            # Inlined L1 write-hit path: recency + dirty bits.
+                            # Inlined L1 write-hit path: recency + dirty bits
+                            # (the inclusive LLC copy is dirty too).
                             del cache_set[block]
                             cache_set[block] = line
                             line.dirty = True
-                            llc_line = llc_peek(block)
-                            if llc_line is not None:
-                                llc_line.dirty = True
+                            llc_set = llc_sets.get(block % llc_num_sets)
+                            if llc_set is not None:
+                                llc_line = llc_set.get(block)
+                                if llc_line is not None:
+                                    llc_line.dirty = True
                         else:
                             access_functional(local_index, block, True, thread_id)
                 else:
@@ -485,9 +489,11 @@ class SampledEngine(ExecutionEngine):
                             del cache_set[block]
                             cache_set[block] = line
                             line.dirty = True
-                            llc_line = llc_peek(block)
-                            if llc_line is not None:
-                                llc_line.dirty = True
+                            llc_set = llc_sets.get(block % llc_num_sets)
+                            if llc_set is not None:
+                                llc_line = llc_set.get(block)
+                                if llc_line is not None:
+                                    llc_line.dirty = True
                         else:
                             access_functional(local_index, block, True, thread_id)
                 cursors[core_id] = stop

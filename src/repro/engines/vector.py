@@ -433,9 +433,8 @@ class _VectorPhase:
                 st = by_id[cid]
                 i = cursors[cid]
                 page = st.pages_l[i]
-                home = home_of_page(page, st.socket_id)
                 if page not in touched_pages:
-                    touched_pages[page] = home
+                    touched_pages[page] = home_of_page(page, st.socket_id)
                 if record_access is not None:
                     record_access(st.thread_id, st.addrs_l[i])
                 new_time = st.execute_fast(
@@ -482,9 +481,8 @@ class _VectorPhase:
     def _run_slow(self, st) -> None:
         i = self.cursors[st.core_id]
         page = st.pages_l[i]
-        home = self.home_of_page(page, st.socket_id)
         if page not in self.touched_pages:
-            self.touched_pages[page] = home
+            self.touched_pages[page] = self.home_of_page(page, st.socket_id)
         if self.record_access is not None:
             self.record_access(st.thread_id, st.addrs_l[i])
         st.execute_fast(st.blocks_l[i], page, st.writes_l[i], st.gaps_l[i])
@@ -568,8 +566,6 @@ class _VectorPhase:
             f = int(cf[j] - cf[aj]) if cf is not None else 0
             gapsum = int(st.gp_ch[lo:hi].sum())
             core.instructions += gapsum + m
-            core.loads += r
-            core.stores += w
             stats = self.system.stats
             stats.instructions += m
             stats.reads += r

@@ -25,8 +25,6 @@ class Link:
         self.infinite_bandwidth = infinite_bandwidth
         self.busy_until = 0.0
         self.last_arrival = 0.0
-        self.bytes_transferred = 0
-        self.packets = 0
         self.busy_time = 0.0
 
     def occupy(self, now: float, size_bytes: int) -> float:
@@ -37,8 +35,6 @@ class Link:
         an earlier idle slot and are charged no queueing delay -- see
         :meth:`repro.memory.main_memory.MemoryChannel.occupy` for why.
         """
-        self.bytes_transferred += size_bytes
-        self.packets += 1
         if self.infinite_bandwidth:
             return 0.0
         service_time = size_bytes / self.bandwidth_bytes_per_ns
@@ -58,4 +54,4 @@ class Link:
         return self.busy_time / elapsed_ns
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Link({self.src}->{self.dst}, {self.bytes_transferred} bytes)"
+        return f"Link({self.src}->{self.dst}, busy {self.busy_time:.1f} ns)"

@@ -9,7 +9,7 @@ packets.  Fig. 2's idealisations map to ``zero_latency`` (0-QPI-latency) and
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .link import Link
 from .packet import CONTROL_PACKET_BYTES, DATA_PACKET_BYTES, MessageClass, PacketKind
@@ -34,6 +34,8 @@ class Interconnect:
     ) -> None:
         if hop_latency_ns < 0:
             raise ValueError("hop_latency_ns must be non-negative")
+        if link_bandwidth_gbps <= 0:
+            raise ValueError("link_bandwidth_gbps must be positive")
         self.topology = topology
         self.hop_latency_ns = 0.0 if zero_latency else hop_latency_ns
         self.control_packet_bytes = control_packet_bytes
@@ -44,32 +46,36 @@ class Interconnect:
             (a, b): Link(a, b, link_bandwidth_gbps, infinite_bandwidth=infinite_bandwidth)
             for a, b in topology.links()
         }
-        # Route cache: topologies are static, so the per-pair link list never
-        # changes.  The routes are resolved to Link objects directly so the
-        # hot send loop performs no per-hop dict lookups.
-        self._routes: Dict[Tuple[int, int], list] = {
-            (a, b): topology.route(a, b)
-            for a in range(topology.num_sockets)
-            for b in range(topology.num_sockets)
-        }
-        self._route_links: Dict[Tuple[int, int], list] = {
-            pair: [self._links[hop] for hop in route]
-            for pair, route in self._routes.items()
-        }
-        # Physical packet size per message class, precomputed so the hot path
-        # never evaluates the MessageClass.kind property.
+        # Physical packet size and per-link serialisation time per message
+        # class, precomputed so the hot path never evaluates the
+        # MessageClass.kind property or divides (every link has the same
+        # bandwidth).
         self._packet_sizes: Dict[MessageClass, int] = {
             cls: (self.data_packet_bytes if cls.kind is PacketKind.DATA
                   else self.control_packet_bytes)
             for cls in MessageClass
         }
+        self._service_ns: Dict[MessageClass, float] = {
+            cls: size / link_bandwidth_gbps for cls, size in self._packet_sizes.items()
+        }
+        # Route table, ``[src][dst] -> (links, base latency, message counts)``.
+        # Topologies are static, so each pair's unloaded latency
+        # (``hop_latency_ns`` per hop) and the links whose busy-until state
+        # a packet advances (none with infinite bandwidth) are resolved once.
+        # Traffic is counted only as messages per class and pair: every byte
+        # total is derived from these counts on read, never accumulated per
+        # send.
+        n = topology.num_sockets
+        self._hop_counts = [[topology.hops(src, dst) for dst in range(n)] for src in range(n)]
+        self._routes: List[List[Tuple[Tuple[Link, ...], float, Dict[MessageClass, int]]]] = [
+            [self._route_entry(topology.route(src, dst)) for dst in range(n)]
+            for src in range(n)
+        ]
 
-        self.messages_sent = 0
-        self.bytes_sent = 0
-        # Per-class [bytes, messages] pairs: one dict lookup per send instead
-        # of four.  Exposed through the bytes_by_class / messages_by_class
-        # properties for the experiments and tests.
-        self._traffic: Dict[MessageClass, list] = {cls: [0, 0] for cls in MessageClass}
+    def _route_entry(self, hops: List[Tuple[int, int]]):
+        links = () if self.infinite_bandwidth else tuple(self._links[hop] for hop in hops)
+        counts = {cls: 0 for cls in MessageClass}
+        return links, self.hop_latency_ns * len(hops), counts
 
     # -- basic properties -----------------------------------------------------
 
@@ -83,7 +89,7 @@ class Interconnect:
 
     def hops(self, src: int, dst: int) -> int:
         """Hop count between two sockets."""
-        return self.topology.hops(src, dst)
+        return self._hop_counts[src][dst]
 
     # -- transfers ------------------------------------------------------------
 
@@ -95,32 +101,22 @@ class Interconnect:
         """
         if src == dst:
             return 0.0
-        size = self._packet_sizes[message_class]
-        links = self._route_links[(src, dst)]
-        latency = self.hop_latency_ns * len(links)
+        links, latency, counts = self._routes[src][dst]
+        counts[message_class] += 1
+        service_time = self._service_ns[message_class]
         arrival = now
         for link in links:
             # Inlined Link.occupy (busy-until bandwidth accounting).
-            link.bytes_transferred += size
-            link.packets += 1
-            if not link.infinite_bandwidth:
-                service_time = size / link.bandwidth_bytes_per_ns
-                link.busy_time += service_time
-                if arrival >= link.last_arrival:
-                    link.last_arrival = arrival
-                    busy_until = link.busy_until
-                    if busy_until > arrival:
-                        latency += busy_until - arrival
-                        link.busy_until = busy_until + service_time
-                    else:
-                        link.busy_until = arrival + service_time
+            link.busy_time += service_time
+            if arrival >= link.last_arrival:
+                link.last_arrival = arrival
+                busy_until = link.busy_until
+                if busy_until > arrival:
+                    latency += busy_until - arrival
+                    link.busy_until = busy_until + service_time
+                else:
+                    link.busy_until = arrival + service_time
             arrival = now + latency
-
-        self.messages_sent += 1
-        self.bytes_sent += size
-        pair = self._traffic[message_class]
-        pair[0] += size
-        pair[1] += 1
         return latency
 
     def round_trip(
@@ -164,32 +160,51 @@ class Interconnect:
             worst = max(worst, total)
         return worst
 
-    # -- statistics -----------------------------------------------------------
+    # -- statistics (derived from the per-pair message counts) ---------------
 
-    @property
-    def bytes_by_class(self) -> Dict[MessageClass, int]:
-        """Bytes sent per message class."""
-        return {cls: pair[0] for cls, pair in self._traffic.items()}
+    def _pair_counts(self):
+        """``(hops, counts)`` of every source/destination pair."""
+        for hop_row, row in zip(self._hop_counts, self._routes):
+            for hops, (_links, _latency, counts) in zip(hop_row, row):
+                yield hops, counts
 
     @property
     def messages_by_class(self) -> Dict[MessageClass, int]:
         """Messages sent per message class."""
-        return {cls: pair[1] for cls, pair in self._traffic.items()}
+        totals = {cls: 0 for cls in MessageClass}
+        for _hops, counts in self._pair_counts():
+            for cls, count in counts.items():
+                totals[cls] += count
+        return totals
+
+    @property
+    def bytes_by_class(self) -> Dict[MessageClass, int]:
+        """Bytes sent per message class."""
+        sizes = self._packet_sizes
+        return {cls: count * sizes[cls] for cls, count in self.messages_by_class.items()}
+
+    @property
+    def messages_sent(self) -> int:
+        """Messages injected into the interconnect."""
+        return sum(self.messages_by_class.values())
+
+    @property
+    def bytes_sent(self) -> int:
+        """Bytes injected into the interconnect (each message counted once)."""
+        return sum(self.bytes_by_class.values())
 
     def reset_counters(self) -> None:
         """Zero the traffic counters (used when a warm-up phase ends)."""
-        self.messages_sent = 0
-        self.bytes_sent = 0
-        self._traffic = {cls: [0, 0] for cls in MessageClass}
+        for _hops, counts in self._pair_counts():
+            for cls in counts:
+                counts[cls] = 0
         for link in self._links.values():
-            link.bytes_transferred = 0
-            link.packets = 0
             link.busy_time = 0.0
 
     def data_bytes(self) -> int:
         """Bytes sent in data-carrying packets."""
         return sum(
-            pair[0] for cls, pair in self._traffic.items() if cls.kind is PacketKind.DATA
+            size for cls, size in self.bytes_by_class.items() if cls.kind is PacketKind.DATA
         )
 
     def control_bytes(self) -> int:
@@ -198,7 +213,11 @@ class Interconnect:
 
     def link_bytes(self) -> int:
         """Bytes summed over every link traversal (counts each hop)."""
-        return sum(link.bytes_transferred for link in self._links.values())
+        sizes = self._packet_sizes
+        return sum(
+            hops * sum(count * sizes[cls] for cls, count in counts.items())
+            for hops, counts in self._pair_counts()
+        )
 
     def link_utilisations(self, elapsed_ns: float) -> Dict[Tuple[int, int], float]:
         """Per-link utilisation over ``elapsed_ns``."""

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..caches.block import CacheBlockState
+from ..caches.block import CacheBlockState, CacheLine
 from ..caches.dram_cache import DRAMCache
 from ..caches.miss_predictor import RegionMissPredictor
 from ..caches.sram_cache import SetAssociativeCache
-from ..coherence.local_directory import LocalDirectory, LocalDirectoryEntry
-from ..coherence.messages import MissResult, ServiceSource
+from ..coherence.local_directory import MASK_CORES, LocalDirectory, cores_of
+from ..coherence.messages import ServiceSource
 from ..memory.address import AddressLayout
 from ..memory.main_memory import MemoryController
 from ..stats.counters import SimulationStats
@@ -31,6 +31,11 @@ __all__ = ["Socket"]
 
 _MODIFIED = CacheBlockState.MODIFIED
 _SHARED = CacheBlockState.SHARED
+_LOCAL_DRAM_CACHE = ServiceSource.LOCAL_DRAM_CACHE
+_LOCAL_MEMORY = ServiceSource.LOCAL_MEMORY
+_REMOTE_MEMORY = ServiceSource.REMOTE_MEMORY
+_REMOTE_LLC = ServiceSource.REMOTE_LLC
+_REMOTE_DRAM_CACHE = ServiceSource.REMOTE_DRAM_CACHE
 
 
 class Socket:
@@ -166,12 +171,31 @@ class Socket:
         hit path into the core and enter the memory system here.  The caller
         has already performed the L1 lookup (recency + cache and stats hit
         accounting).
+
+        An LLC miss is handled here end to end: the global protocol's
+        transaction, the LLC fill, the back-invalidation of the LLC victim's
+        L1 copies and its hand-off to the protocol, and the L1 fill.  For
+        intrusive-LRU caches the LLC lookup and both fills are inlined (the
+        same moves :meth:`SetAssociativeCache.lookup` and ``insert`` make,
+        change log included); other replacement policies go through the
+        cache methods.
         """
         stats = self.system.stats
         # LLC level (local directory consulted in parallel with the tag check).
         latency = self.l1_latency_ns + self.local_directory.latency_ns
         llc = self.llc
-        llc_line = llc.lookup(block)
+        inline_llc = llc._touch_moves
+        if inline_llc:
+            llc_set = llc._sets.get(block % llc.num_sets)
+            llc_line = llc_set.get(block) if llc_set is not None else None
+            if llc_line is not None:
+                llc.hits += 1
+                del llc_set[block]
+                llc_set[block] = llc_line
+            else:
+                llc.misses += 1
+        else:
+            llc_line = llc.lookup(block)
 
         if llc_line is not None:
             latency += self.llc_latency_ns
@@ -184,45 +208,139 @@ class Socket:
                 self._local_write_update(core_index, block)
                 return latency, ServiceSource.LLC
             # Shared in the LLC: data is present but Modified permission is not.
-            result = self.protocol.write_miss(
+            miss_latency, source = self.protocol.write_miss(
                 now + latency, self.socket_id, block,
                 thread_id=thread_id, has_shared_copy=True,
             )
-            latency += result.latency
+            latency += miss_latency
             llc.set_state(block, _MODIFIED, dirty=True)
             self._local_write_update(core_index, block)
-            return latency, result.source
+            return latency, source
 
         # LLC miss: hand the request to the global protocol.
         stats.llc_misses += 1
         if is_write:
-            result = self.protocol.write_miss(
+            miss_latency, source = self.protocol.write_miss(
                 now + latency, self.socket_id, block,
                 thread_id=thread_id, has_shared_copy=False,
             )
         else:
-            result = self.protocol.read_miss(now + latency, self.socket_id, block)
-        latency += result.latency
-
-        # Inlined _record_service (one call per LLC miss saved).
-        source = result.source
-        if source is ServiceSource.LOCAL_DRAM_CACHE:
+            miss_latency, source = self.protocol.read_miss(now + latency, self.socket_id, block)
+        latency += miss_latency
+        if source is _LOCAL_DRAM_CACHE:
             stats.served_local_dram_cache += 1
-        elif source is ServiceSource.LOCAL_MEMORY:
+        elif source is _LOCAL_MEMORY:
             stats.served_local_memory += 1
-        elif source is ServiceSource.REMOTE_MEMORY:
+        elif source is _REMOTE_MEMORY:
             stats.served_remote_memory += 1
-        elif source is ServiceSource.REMOTE_LLC:
+        elif source is _REMOTE_LLC:
             stats.served_remote_llc += 1
-        elif source is ServiceSource.REMOTE_DRAM_CACHE:
+        elif source is _REMOTE_DRAM_CACHE:
             stats.served_remote_dram_cache += 1
         acc = stats.llc_miss_latency
-        acc.total += result.latency
+        acc.total += miss_latency
         acc.count += 1
-        if result.latency > acc.maximum:
-            acc.maximum = result.latency
+        if miss_latency > acc.maximum:
+            acc.maximum = miss_latency
 
-        self._fill(now + latency, core_index, block, modified=is_write)
+        # LLC fill.  The lookup above missed and no protocol transaction
+        # fills the requester's own LLC, so the block is absent.
+        state = _MODIFIED if is_write else _SHARED
+        victim_block = None
+        if inline_llc:
+            if llc_set is None:
+                llc_set = llc._sets[block % llc.num_sets] = {}
+            if len(llc_set) >= llc.associativity:
+                # The LRU victim's line object is reused for the new block.
+                line = llc_set.pop(next(iter(llc_set)))
+                victim_block = line.block
+                victim_dirty = line.dirty
+                llc.evictions += 1
+                if victim_dirty:
+                    llc.dirty_evictions += 1
+                line.block = block
+                line.state = state
+                line.dirty = is_write
+            else:
+                line = CacheLine(block, state, is_write)
+            llc_set[block] = line
+            if llc._track_changes:
+                llc._changes.append(block)
+                if victim_block is not None:
+                    llc._changes.append(victim_block)
+        else:
+            victim = llc.insert(block, state, dirty=is_write)
+            if victim is not None:
+                victim_block = victim.block
+                victim_dirty = victim.dirty
+        local_dir = self.local_directory
+        sharers = local_dir._sharers
+        owners = local_dir._owners
+        l1s = self.l1s
+        if victim_block is not None:
+            # Back-invalidate the victim's L1 copies (the LLC is inclusive)
+            # and hand it to the protocol, dirty if any copy was.
+            mask = sharers.pop(victim_block, 0)
+            if mask:
+                owners.pop(victim_block, None)
+                for core in MASK_CORES[mask] if mask < 256 else cores_of(mask):
+                    line = l1s[core].invalidate(victim_block)
+                    if line is not None and line.dirty:
+                        victim_dirty = True
+            self.protocol.llc_eviction(
+                now + latency, self.socket_id, victim_block, dirty=victim_dirty
+            )
+
+        # L1 fill (the L1 missed too, and the inclusive LLC did not hold the
+        # block, so it is absent here as well).
+        l1 = l1s[core_index]
+        victim_block = None
+        if l1._touch_moves:
+            l1_sets = l1._sets
+            l1_set = l1_sets.get(block % l1.num_sets)
+            if l1_set is None:
+                l1_set = l1_sets[block % l1.num_sets] = {}
+            if len(l1_set) >= l1.associativity:
+                line = l1_set.pop(next(iter(l1_set)))
+                victim_block = line.block
+                victim_dirty = line.dirty
+                l1.evictions += 1
+                if victim_dirty:
+                    l1.dirty_evictions += 1
+                line.block = block
+                line.state = state
+                line.dirty = is_write
+            else:
+                line = CacheLine(block, state, is_write)
+            l1_set[block] = line
+            if l1._track_changes:
+                l1._changes.append(block)
+                if victim_block is not None:
+                    l1._changes.append(victim_block)
+        else:
+            victim = l1.insert(block, state, dirty=is_write)
+            if victim is not None:
+                victim_block = victim.block
+                victim_dirty = victim.dirty
+        # Local-directory fill: the block had no L1 sharers.
+        sharers[block] = 1 << core_index
+        if is_write:
+            owners[block] = core_index
+        if victim_block is not None:
+            mask = sharers.get(victim_block)
+            if mask is not None:
+                mask &= ~(1 << core_index)
+                if mask:
+                    sharers[victim_block] = mask
+                else:
+                    del sharers[victim_block]
+                if owners.get(victim_block) == core_index:
+                    del owners[victim_block]
+            if victim_dirty:
+                # Write the L1 victim's data back into the (inclusive) LLC.
+                llc_line = llc.peek(victim_block)
+                if llc_line is not None:
+                    llc_line.dirty = True
         return latency, source
 
     def access_functional(self, core_index: int, block: int, is_write: bool,
@@ -242,7 +360,17 @@ class Socket:
         measured statistics untouched while every cache stays warm.
         """
         l1 = self.l1s[core_index]
-        line = l1.lookup(block)
+        if l1._touch_moves:
+            l1_set = l1._sets.get(block % l1.num_sets)
+            line = l1_set.get(block) if l1_set is not None else None
+            if line is not None:
+                l1.hits += 1
+                del l1_set[block]
+                l1_set[block] = line
+            else:
+                l1.misses += 1
+        else:
+            line = l1.lookup(block)
         if line is not None and (not is_write or line.state is _MODIFIED):
             if is_write:
                 line.dirty = True
@@ -251,7 +379,18 @@ class Socket:
                     llc_line.dirty = True
             return
         llc = self.llc
-        llc_line = llc.lookup(block)
+        inline_llc = llc._touch_moves
+        if inline_llc:
+            llc_set = llc._sets.get(block % llc.num_sets)
+            llc_line = llc_set.get(block) if llc_set is not None else None
+            if llc_line is not None:
+                llc.hits += 1
+                del llc_set[block]
+                llc_set[block] = llc_line
+            else:
+                llc.misses += 1
+        else:
+            llc_line = llc.lookup(block)
         if llc_line is not None:
             if not is_write:
                 self._peer_intervention(core_index, block)
@@ -274,7 +413,97 @@ class Socket:
             )
         else:
             self.protocol.read_miss_functional(self.socket_id, block)
-        self._fill_functional(core_index, block, modified=is_write)
+
+        # The fused LLC + L1 fill of access_l1_missed, with the LLC victim
+        # handed to the protocol's functional mirror.
+        state = _MODIFIED if is_write else _SHARED
+        victim_block = None
+        if inline_llc:
+            if llc_set is None:
+                llc_set = llc._sets[block % llc.num_sets] = {}
+            if len(llc_set) >= llc.associativity:
+                # The LRU victim's line object is reused for the new block.
+                line = llc_set.pop(next(iter(llc_set)))
+                victim_block = line.block
+                victim_dirty = line.dirty
+                llc.evictions += 1
+                if victim_dirty:
+                    llc.dirty_evictions += 1
+                line.block = block
+                line.state = state
+                line.dirty = is_write
+            else:
+                line = CacheLine(block, state, is_write)
+            llc_set[block] = line
+            if llc._track_changes:
+                llc._changes.append(block)
+                if victim_block is not None:
+                    llc._changes.append(victim_block)
+        else:
+            victim = llc.insert(block, state, dirty=is_write)
+            if victim is not None:
+                victim_block = victim.block
+                victim_dirty = victim.dirty
+        local_dir = self.local_directory
+        sharers = local_dir._sharers
+        owners = local_dir._owners
+        l1s = self.l1s
+        if victim_block is not None:
+            mask = sharers.pop(victim_block, 0)
+            if mask:
+                owners.pop(victim_block, None)
+                for core in MASK_CORES[mask] if mask < 256 else cores_of(mask):
+                    line = l1s[core].invalidate(victim_block)
+                    if line is not None and line.dirty:
+                        victim_dirty = True
+            self.protocol.llc_eviction_functional(
+                self.socket_id, victim_block, dirty=victim_dirty
+            )
+        victim_block = None
+        if l1._touch_moves:
+            l1_sets = l1._sets
+            l1_set = l1_sets.get(block % l1.num_sets)
+            if l1_set is None:
+                l1_set = l1_sets[block % l1.num_sets] = {}
+            if len(l1_set) >= l1.associativity:
+                line = l1_set.pop(next(iter(l1_set)))
+                victim_block = line.block
+                victim_dirty = line.dirty
+                l1.evictions += 1
+                if victim_dirty:
+                    l1.dirty_evictions += 1
+                line.block = block
+                line.state = state
+                line.dirty = is_write
+            else:
+                line = CacheLine(block, state, is_write)
+            l1_set[block] = line
+            if l1._track_changes:
+                l1._changes.append(block)
+                if victim_block is not None:
+                    l1._changes.append(victim_block)
+        else:
+            victim = l1.insert(block, state, dirty=is_write)
+            if victim is not None:
+                victim_block = victim.block
+                victim_dirty = victim.dirty
+        sharers[block] = 1 << core_index
+        if is_write:
+            owners[block] = core_index
+        if victim_block is not None:
+            mask = sharers.get(victim_block)
+            if mask is not None:
+                mask &= ~(1 << core_index)
+                if mask:
+                    sharers[victim_block] = mask
+                else:
+                    del sharers[victim_block]
+                if owners.get(victim_block) == core_index:
+                    del owners[victim_block]
+            if victim_dirty:
+                llc_line = llc.peek(victim_block)
+                if llc_line is not None:
+                    llc_line.dirty = True
 
     # ------------------------------------------------------------------
     # Intra-socket mechanics
@@ -282,10 +511,11 @@ class Socket:
 
     def _peer_intervention(self, core_index: int, block: int) -> float:
         """If a peer core's L1 owns the block modified, source it from there."""
-        owner = self.local_directory.owner_of(block)
+        owners = self.local_directory._owners
+        owner = owners.get(block)
         if owner is None or owner == core_index:
             return 0.0
-        self.stats.llc_peer_hits += 1
+        self.system.stats.llc_peer_hits += 1
         self.local_directory.peer_interventions += 1
         # The owner is downgraded to Shared; the LLC copy is made current.
         owner_l1 = self.l1s[owner]
@@ -293,9 +523,7 @@ class Socket:
         if owner_line is not None:
             owner_line.state = CacheBlockState.SHARED
             owner_l1.note_external_change(block)
-        entry = self.local_directory.peek(block)
-        if entry is not None:
-            entry.owner = None
+        del owners[block]
         return self.l1_latency_ns
 
     def _local_write_update(self, core_index: int, block: int) -> None:
@@ -310,70 +538,26 @@ class Socket:
             llc_line.dirty = True
 
     def _fill_l1(self, core_index: int, block: int, *, modified: bool) -> None:
-        l1 = self.l1s[core_index]
+        """Install ``block`` in a core's L1 (the LLC already holds it)."""
         state = _MODIFIED if modified else _SHARED
-        victim = l1.insert(block, state, dirty=modified)
+        victim = self.l1s[core_index].insert(block, state, dirty=modified)
         # Inlined LocalDirectory.record_fill.
         local_dir = self.local_directory
-        entries = local_dir._entries
-        entry = entries.get(block)
-        if entry is None:
-            entry = entries[block] = LocalDirectoryEntry(block=block)
-        entry.sharers.add(core_index)
+        sharers = local_dir._sharers
+        owners = local_dir._owners
+        sharers[block] = sharers.get(block, 0) | (1 << core_index)
         if modified:
-            entry.owner = core_index
-        elif entry.owner == core_index:
-            entry.owner = None
+            owners[block] = core_index
+        elif owners.get(block) == core_index:
+            del owners[block]
         if victim is not None:
-            # Inlined LocalDirectory.record_eviction.
             victim_block = victim.block
-            victim_entry = entries.get(victim_block)
-            if victim_entry is not None:
-                victim_entry.sharers.discard(core_index)
-                if victim_entry.owner == core_index:
-                    victim_entry.owner = None
-                if not victim_entry.sharers:
-                    del entries[victim_block]
+            local_dir.record_eviction(victim_block, core_index)
             if victim.dirty:
                 # Write the L1 victim's data back into the (inclusive) LLC.
                 llc_line = self.llc.peek(victim_block)
                 if llc_line is not None:
                     llc_line.dirty = True
-
-    def _fill(self, now: float, core_index: int, block: int, *, modified: bool) -> None:
-        """Install a fill returned by the global protocol into LLC + L1."""
-        state = _MODIFIED if modified else _SHARED
-        victim = self.llc.insert(block, state, dirty=modified)
-        if victim is not None:
-            self._handle_llc_victim(now, victim.block, victim.dirty)
-        self._fill_l1(core_index, block, modified=modified)
-
-    def _fill_functional(self, core_index: int, block: int, *, modified: bool) -> None:
-        """State-only :meth:`_fill`: victims go to the protocol's functional mirror."""
-        state = _MODIFIED if modified else _SHARED
-        victim = self.llc.insert(block, state, dirty=modified)
-        if victim is not None:
-            victim_block = victim.block
-            victim_dirty = victim.dirty
-            cores_with_copy = self.local_directory.invalidate_block(victim_block)
-            for core in cores_with_copy:
-                line = self.l1s[core].invalidate(victim_block)
-                if line is not None and line.dirty:
-                    victim_dirty = True
-            self.protocol.llc_eviction_functional(
-                self.socket_id, victim_block, dirty=victim_dirty
-            )
-        self._fill_l1(core_index, block, modified=modified)
-
-    def _handle_llc_victim(self, now: float, victim_block: int, dirty: bool) -> None:
-        """Back-invalidate L1 copies of the victim and hand it to the protocol."""
-        cores_with_copy = self.local_directory.invalidate_block(victim_block)
-        victim_dirty = dirty
-        for core in cores_with_copy:
-            line = self.l1s[core].invalidate(victim_block)
-            if line is not None and line.dirty:
-                victim_dirty = True
-        self.protocol.llc_eviction(now, self.socket_id, victim_block, dirty=victim_dirty)
 
     # ------------------------------------------------------------------
     # Entry points used by the global protocols on remote sockets
@@ -382,19 +566,32 @@ class Socket:
     def invalidate_onchip(self, block: int) -> bool:
         """Invalidate any LLC / L1 copies of ``block``; returns True if one existed."""
         had_copy = False
-        for core in self.local_directory.invalidate_block(block):
-            self.l1s[core].invalidate(block)
+        # Inlined LocalDirectory.invalidate_block.
+        local_dir = self.local_directory
+        mask = local_dir._sharers.pop(block, 0)
+        if mask:
+            local_dir._owners.pop(block, None)
+            l1s = self.l1s
+            for core in MASK_CORES[mask] if mask < 256 else cores_of(mask):
+                l1s[core].invalidate(block)
             had_copy = True
-        if self.llc.invalidate(block) is not None:
+        # Inlined SetAssociativeCache.invalidate.
+        llc = self.llc
+        llc_set = llc._sets.get(block % llc.num_sets)
+        if llc_set and llc_set.pop(block, None) is not None:
+            llc.invalidations += 1
+            if llc._track_changes:
+                llc._changes.append(block)
             had_copy = True
         return had_copy
 
     def downgrade_block(self, block: int) -> bool:
         """Downgrade an on-chip Modified copy to Shared; returns True if it was dirty."""
         was_dirty = False
-        entry = self.local_directory.peek(block)
-        if entry is not None:
-            for core in list(entry.sharers):
+        local_dir = self.local_directory
+        mask = local_dir._sharers.get(block)
+        if mask is not None:
+            for core in cores_of(mask):
                 core_l1 = self.l1s[core]
                 line = core_l1.peek(block)
                 if line is not None:
@@ -403,32 +600,13 @@ class Socket:
                     line.state = CacheBlockState.SHARED
                     line.dirty = False
                     core_l1.note_external_change(block)
-            entry.owner = None
+            local_dir._owners.pop(block, None)
         llc_line = self.llc.peek(block)
         if llc_line is not None:
             if llc_line.dirty:
                 was_dirty = True
             self.llc.downgrade(block)
         return was_dirty
-
-    # ------------------------------------------------------------------
-    # Statistics plumbing
-    # ------------------------------------------------------------------
-
-    def _record_service(self, result: MissResult) -> None:
-        stats = self.system.stats
-        source = result.source
-        if source is ServiceSource.LOCAL_DRAM_CACHE:
-            stats.served_local_dram_cache += 1
-        elif source is ServiceSource.LOCAL_MEMORY:
-            stats.served_local_memory += 1
-        elif source is ServiceSource.REMOTE_MEMORY:
-            stats.served_remote_memory += 1
-        elif source is ServiceSource.REMOTE_LLC:
-            stats.served_remote_llc += 1
-        elif source is ServiceSource.REMOTE_DRAM_CACHE:
-            stats.served_remote_dram_cache += 1
-        stats.llc_miss_latency.add(result.latency)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         dram = "+DRAM$" if self.dram_cache is not None else ""

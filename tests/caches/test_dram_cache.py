@@ -142,3 +142,50 @@ def test_predictor_and_cache_agree_on_absence(ops):
     for block, _ in ops:
         if predictor.predicts_miss(block):
             assert not cache.contains(block)
+
+
+def _cache_state(cache):
+    predictor = cache.miss_predictor
+    return (
+        [(index, line.block, line.state, line.dirty) for index, line in cache._lines.items()],
+        cache.evictions,
+        cache.dirty_evictions,
+        list(predictor._table.items()) if predictor is not None else None,
+        predictor.region_displacements if predictor is not None else None,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num_sets=st.sampled_from([16, 64, 100]),
+    entries=st.sampled_from([4, 64]),
+    region_blocks=st.sampled_from([4, 64]),
+    with_predictor=st.booleans(),
+    spans=st.lists(
+        st.tuples(st.integers(0, 3000), st.integers(1, 110)), min_size=1, max_size=4
+    ),
+)
+def test_bulk_insert_clean_matches_per_block_inserts(
+    num_sets, entries, region_blocks, with_predictor, spans
+):
+    """The vectorised prewarm fill leaves exactly the per-block state behind.
+
+    Covers disjoint and overlapping ranges, ranges that wrap around the set
+    index, ranges longer than the cache and predictor tables too small for
+    the batched path (both fall back to the per-block loop), down to the
+    tag store's dict order and the predictor's LRU order.
+    """
+    def build():
+        predictor = (
+            RegionMissPredictor(entries=entries, region_size=64 * region_blocks)
+            if with_predictor else None
+        )
+        return DRAMCache(num_sets * 64, clean=True, miss_predictor=predictor)
+
+    ranges = [range(start, start + length) for start, length in spans]
+    bulk, reference = build(), build()
+    assert bulk.bulk_insert_clean(*ranges) == sum(len(r) for r in ranges)
+    for block_range in ranges:
+        for block in block_range:
+            reference.insert(block, dirty=False)
+    assert _cache_state(bulk) == _cache_state(reference)

@@ -1,11 +1,6 @@
 """Tests for the coherence message/result vocabulary and protocol metadata."""
 
-from repro.coherence.messages import (
-    CoherenceRequestType,
-    EvictionResult,
-    MissResult,
-    ServiceSource,
-)
+from repro.coherence.messages import CoherenceRequestType, ServiceSource
 
 from ..conftest import tiny_system
 
@@ -24,23 +19,6 @@ def test_service_source_classification():
     assert ServiceSource.LOCAL_MEMORY.is_memory
     assert ServiceSource.REMOTE_MEMORY.is_memory
     assert not ServiceSource.LLC.is_memory
-
-
-def test_miss_result_off_socket_property():
-    result = MissResult(
-        latency=10.0, source=ServiceSource.REMOTE_LLC,
-        request_type=CoherenceRequestType.GETS,
-    )
-    assert result.off_socket
-    assert result.invalidations == 0
-    assert not result.used_broadcast
-
-
-def test_eviction_result_defaults():
-    result = EvictionResult()
-    assert not result.wrote_memory
-    assert not result.inserted_in_dram_cache
-    assert result.latency == 0.0
 
 
 def test_protocol_describe_strings():

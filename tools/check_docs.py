@@ -51,6 +51,7 @@ REQUIRED_DOCS = (
 #: substrings of the page text.
 REQUIRED_SECTIONS = {
     "docs/performance.md": (
+        "## Miss path",
         "## Vectorized execution",
         "vector_speedup_",
         "## Parallel windows",
