@@ -13,7 +13,7 @@ from typing import Tuple
 from ..interconnect.packet import MessageClass
 from .directory import DirectoryState
 from .messages import ServiceSource
-from .protocol_base import GlobalCoherenceProtocol
+from .protocol_base import FUNCTIONAL_MISS, GlobalCoherenceProtocol
 
 __all__ = ["BaselineProtocol"]
 
@@ -136,15 +136,15 @@ class BaselineProtocol(GlobalCoherenceProtocol):
         # stale superset, which is still a valid over-approximation.
 
     # ------------------------------------------------------------------
-    # Functional (state-only) mirrors -- see GlobalCoherenceProtocol
+    # Functional (state-only) mirrors -- see repro.coherence.protocol_base
     # ------------------------------------------------------------------
 
-    def read_miss_functional(self, requester: int, block: int) -> None:
+    def read_miss_functional(self, now: float, requester: int, block: int) -> Tuple[float, None]:
         directory = self.directories[self._home_of_block(block)]
         entry = directory.lookup(block)
         if entry is None or entry.state is not DirectoryState.MODIFIED:
             directory.add_sharer(block, requester)
-            return
+            return FUNCTIONAL_MISS
         owner = entry.owner
         if owner is not None and owner != requester:
             # Mirror of _fetch_from_remote_llc(downgrade=True): the owner
@@ -153,11 +153,12 @@ class BaselineProtocol(GlobalCoherenceProtocol):
             directory.set_shared(block, {owner, requester})
         else:
             directory.set_shared(block, set(entry.sharers) | {requester})
+        return FUNCTIONAL_MISS
 
     def write_miss_functional(
-        self, requester: int, block: int, *, thread_id: int = 0,
+        self, now: float, requester: int, block: int, *, thread_id: int = 0,
         has_shared_copy: bool = False,
-    ) -> None:
+    ) -> Tuple[float, None]:
         directory = self.directories[self._home_of_block(block)]
         entry = directory.lookup(block)
         if (
@@ -174,7 +175,10 @@ class BaselineProtocol(GlobalCoherenceProtocol):
             for target in sorted(entry.sharers - {requester}):
                 self.sockets[target].invalidate_onchip(block)
         directory.set_modified(block, requester)
+        return FUNCTIONAL_MISS
 
-    def llc_eviction_functional(self, requester: int, block: int, *, dirty: bool) -> None:
+    def llc_eviction_functional(
+        self, now: float, requester: int, block: int, *, dirty: bool
+    ) -> None:
         if dirty:
             self.directories[self._home_of_block(block)].invalidate(block)

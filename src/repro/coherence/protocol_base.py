@@ -28,6 +28,13 @@ path allocates no result record.  All latencies are in nanoseconds and
 describe the critical path of the transaction as seen by the requesting
 socket.  Traffic and memory accesses are accounted on the shared
 :class:`~repro.stats.counters.SimulationStats`.
+
+A design may also define lean state-only mirrors, ``read_miss_functional``
+and so on: same arguments (``now`` ignored), the same state changes, no
+latency arithmetic or message accounting.  Fast-forward installs them over
+the timed entries (``repro.engines.base.functional_timing``); a design
+without them runs its timed entries there under zero-latency stubs, the
+reference ``tests/engines/test_functional_mirrors.py`` holds mirrors to.
 """
 
 from __future__ import annotations
@@ -43,7 +50,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance for type checkers
     from ..system.numa_system import NumaSystem
     from ..system.socket import Socket
 
-__all__ = ["GlobalCoherenceProtocol"]
+__all__ = ["GlobalCoherenceProtocol", "FUNCTIONAL_MISS"]
+
+#: What a functional miss mirror returns in place of ``(latency_ns, source)``.
+FUNCTIONAL_MISS: Tuple[float, None] = (0.0, None)
 
 
 class GlobalCoherenceProtocol(ABC):
@@ -104,43 +114,6 @@ class GlobalCoherenceProtocol(ABC):
     @abstractmethod
     def llc_eviction(self, now: float, requester: int, block: int, *, dirty: bool) -> None:
         """Handle an LLC victim produced by the requester socket."""
-
-    # ------------------------------------------------------------------
-    # Functional (state-only) mirrors
-    # ------------------------------------------------------------------
-    #
-    # The sampled engine's fast-forward phase advances architectural state
-    # without timing (docs/sampling.md).  These entry points perform exactly
-    # the state mutations of their timed counterparts -- directory
-    # transitions, peer invalidations/downgrades, DRAM-cache probes and
-    # inserts -- while skipping the latency arithmetic and message
-    # accounting.  The defaults below simply run the timed entry points;
-    # they are only correct when the caller has installed functional
-    # timing (zero-latency interconnect/memory stubs, scratch statistics --
-    # see ``EngineContext.functional_timing``), which the sampled engine
-    # always does, so a design without a lean override stays state-exact.
-    # Subclasses override them with lean state-only mirrors for speed;
-    # tests/engines/test_functional_mirrors.py asserts every lean mirror
-    # leaves bit-identical state behind by re-running the same sampled
-    # simulation with the mirrors forced back to these generic fallbacks.
-
-    def read_miss_functional(self, requester: int, block: int) -> None:
-        """State-only mirror of :meth:`read_miss` (no timing, no result)."""
-        self.read_miss(0.0, requester, block)
-
-    def write_miss_functional(
-        self, requester: int, block: int, *, thread_id: int = 0,
-        has_shared_copy: bool = False,
-    ) -> None:
-        """State-only mirror of :meth:`write_miss` (no timing, no result)."""
-        self.write_miss(
-            0.0, requester, block, thread_id=thread_id,
-            has_shared_copy=has_shared_copy,
-        )
-
-    def llc_eviction_functional(self, requester: int, block: int, *, dirty: bool) -> None:
-        """State-only mirror of :meth:`llc_eviction` (no timing, no result)."""
-        self.llc_eviction(0.0, requester, block, dirty=dirty)
 
     # ------------------------------------------------------------------
     # Address / component helpers

@@ -24,7 +24,6 @@ from typing import Tuple
 
 from ..coherence.directory import DirectoryState
 from ..coherence.messages import ServiceSource
-from ..coherence.protocol_base import GlobalCoherenceProtocol
 from .c3d_protocol import C3DProtocol
 
 __all__ = ["C3DFullDirectoryProtocol"]
@@ -38,11 +37,9 @@ class C3DFullDirectoryProtocol(C3DProtocol):
 
     # The timed entry points below diverge from plain C3D (the ideal
     # directory tracks DRAM-cache residency), so the lean functional mirrors
-    # inherited from C3DProtocol would drift; fall back to the generic
-    # state-exact mirrors, which wrap the timed paths.
-    read_miss_functional = GlobalCoherenceProtocol.read_miss_functional
-    write_miss_functional = GlobalCoherenceProtocol.write_miss_functional
-    llc_eviction_functional = GlobalCoherenceProtocol.llc_eviction_functional
+    # inherited from C3DProtocol would drift; opt out of them, and
+    # fast-forward runs the timed entries under the functional-timing stubs.
+    read_miss_functional = write_miss_functional = llc_eviction_functional = None
 
     # ------------------------------------------------------------------
     # Reads

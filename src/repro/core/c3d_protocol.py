@@ -35,7 +35,7 @@ from typing import Optional, Tuple
 
 from ..coherence.directory import DirectoryState
 from ..coherence.messages import ServiceSource
-from ..coherence.protocol_base import GlobalCoherenceProtocol
+from ..coherence.protocol_base import FUNCTIONAL_MISS, GlobalCoherenceProtocol
 from ..interconnect.packet import MessageClass
 from .page_classifier import PrivateSharedClassifier
 
@@ -321,15 +321,15 @@ class C3DProtocol(GlobalCoherenceProtocol):
         return data_latency, (_LOCAL_MEMORY if home == requester else _REMOTE_MEMORY)
 
     # ------------------------------------------------------------------
-    # Functional (state-only) mirrors -- see GlobalCoherenceProtocol
+    # Functional (state-only) mirrors -- see repro.coherence.protocol_base
     # ------------------------------------------------------------------
 
-    def read_miss_functional(self, requester: int, block: int) -> None:
+    def read_miss_functional(self, now: float, requester: int, block: int) -> Tuple[float, None]:
         # The DRAM-cache probe is stateful (predictor presence bits and LRU
         # recency advance) and must run exactly as in the timed path.
         dram_cache = self.sockets[requester].dram_cache
         if dram_cache is not None and dram_cache.probe(block).hit:
-            return
+            return FUNCTIONAL_MISS
         directory = self.directories[self._home_of_block(block)]
         entry = directory.lookup(block)
         if (
@@ -345,11 +345,12 @@ class C3DProtocol(GlobalCoherenceProtocol):
         elif entry is not None and entry.state is DirectoryState.SHARED:
             directory.add_sharer(block, requester)
         # Invalid / untracked: served by memory, stays untracked.
+        return FUNCTIONAL_MISS
 
     def write_miss_functional(
-        self, requester: int, block: int, *, thread_id: int = 0,
+        self, now: float, requester: int, block: int, *, thread_id: int = 0,
         has_shared_copy: bool = False,
-    ) -> None:
+    ) -> Tuple[float, None]:
         if not has_shared_copy:
             dram_cache = self.sockets[requester].dram_cache
             if dram_cache is not None:
@@ -389,8 +390,11 @@ class C3DProtocol(GlobalCoherenceProtocol):
                         target_socket.dram_cache.invalidate(block)
                     target_socket.invalidate_onchip(block)
         directory.set_modified(block, requester)
+        return FUNCTIONAL_MISS
 
-    def llc_eviction_functional(self, requester: int, block: int, *, dirty: bool) -> None:
+    def llc_eviction_functional(
+        self, now: float, requester: int, block: int, *, dirty: bool
+    ) -> None:
         dram_cache = self.sockets[requester].dram_cache
         if dram_cache is not None:
             # Clean victim cache: inserts never displace dirty data.

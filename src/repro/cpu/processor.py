@@ -129,7 +129,7 @@ class Core:
             stats.writes += 1
             while entries and entries[0][0] <= time:
                 entries.popleft()
-            # Inlined L1 lookup + store hit path (see _access_fast).
+            # Inlined L1 lookup + store hit path of Socket.access.
             if self._l1_fast:
                 cache_set = l1._sets.get(block % l1.num_sets)
                 line = cache_set.get(block) if cache_set is not None else None
@@ -194,7 +194,7 @@ class Core:
                 latency = socket.l1_latency_ns
                 stats.store_forward_hits += 1
             elif self._l1_fast:
-                # Inlined L1 lookup + load hit path (see _access_fast).
+                # Inlined L1 lookup + load hit path of Socket.access.
                 cache_set = l1._sets.get(block % l1.num_sets)
                 line = cache_set.get(block) if cache_set is not None else None
                 if line is not None:
@@ -210,7 +210,9 @@ class Core:
                         time, self.local_index, block, False, self.thread_id
                     )
             else:
-                latency = self._access_fast(time, block, False, stats)
+                latency, _source = socket.access(
+                    time, self.local_index, block, False, self.thread_id
+                )
             time += latency
             acc = stats.read_latency
         acc.total += latency
@@ -219,36 +221,6 @@ class Core:
             acc.maximum = latency
         self.time = time
         return time
-
-    def _access_fast(self, now: float, block: int, is_write: bool, stats) -> float:
-        """Inlined L1 lookup + hit path of :meth:`Socket.access`."""
-        socket = self.socket
-        l1 = self.l1
-        if self._l1_fast:
-            cache_set = l1._sets.get(block % l1.num_sets)
-            line = cache_set.get(block) if cache_set is not None else None
-            if line is not None:
-                l1.hits += 1
-                # Intrusive LRU move-to-end, as l1.lookup would do.
-                del cache_set[block]
-                cache_set[block] = line
-            else:
-                l1.misses += 1
-        else:
-            line = l1.lookup(block)
-        if line is not None and (not is_write or line.state is CacheBlockState.MODIFIED):
-            stats.l1_hits += 1
-            if is_write:
-                line.dirty = True
-                llc_line = socket.llc.peek(block)
-                if llc_line is not None:
-                    llc_line.dirty = True
-            return socket.l1_latency_ns
-        stats.l1_misses += 1
-        latency, _source = socket.access_l1_missed(
-            now, self.local_index, block, is_write, self.thread_id
-        )
-        return latency
 
     def _execute_load(self, block: int) -> None:
         self.stats.reads += 1

@@ -80,18 +80,30 @@ def scratch_stats(system: "NumaSystem"):
         system.stats = real
 
 
+#: The protocol entries a functional mirror replaces inside
+#: :func:`functional_timing`; the mirror of ``name`` is ``name + "_functional"``.
+_MIRRORED_ENTRIES = ("read_miss", "write_miss", "llc_eviction")
+
+#: Marks an attribute the instance itself did not hold.
+_ABSENT = object()
+
+
 @contextmanager
 def functional_timing(system: "NumaSystem"):
-    """Stub the timing models out while leaving every state update intact.
+    """Make the timed socket miss path functional: state changes, no timing.
 
-    Inside this context the interconnect's ``send`` and each memory
-    controller's ``read_fast``/``write_fast`` return zero latency and mutate
-    no busy-until bandwidth state, so the coherence protocols can run their
-    normal (state-exact) transaction logic during fast-forward without
-    polluting channel/link occupancy for the detailed windows that follow.
-    The protocols' lean ``*_functional`` mirrors skip the timing calls
-    entirely; this context is what keeps the *generic* mirror fallback (and
-    any protocol without a lean mirror) state-exact too.
+    Inside this context the protocol's lean ``*_functional`` mirrors are
+    installed on the protocol instance over ``read_miss``, ``write_miss``
+    and ``llc_eviction``, so :meth:`Socket.access_l1_missed` -- the one
+    socket miss path -- sinks into them and makes exactly the timed
+    path's state changes without its latency arithmetic.  A protocol that
+    defines no mirrors (or opts out with ``None``) keeps its timed entries.
+    Either way the interconnect's ``send`` and each memory controller's
+    ``read_fast``/``write_fast`` return zero latency and mutate no
+    busy-until bandwidth state, so whatever timed code still runs leaves
+    channel and link occupancy untouched for the detailed windows that
+    follow.  On exit everything is restored exactly as it was, also when
+    the body raises.
     """
 
     def _zero_send(now, src, dst, message_class):
@@ -100,26 +112,29 @@ def functional_timing(system: "NumaSystem"):
     def _zero_memory(now, block):
         return 0.0
 
-    interconnect = system.interconnect
     protocol = system.protocol
-    saved_send = interconnect.send
-    saved_protocol_send = protocol._net_send
-    interconnect.send = _zero_send
-    protocol._net_send = _zero_send
-    saved_memory = []
+    patches = [(system.interconnect, "send", _zero_send), (protocol, "_net_send", _zero_send)]
+    for name in _MIRRORED_ENTRIES:
+        mirror = getattr(protocol, name + "_functional", None)
+        if mirror is not None:
+            patches.append((protocol, name, mirror))
     for sock in system.sockets:
-        memory = sock.memory
-        saved_memory.append((memory, memory.read_fast, memory.write_fast))
-        memory.read_fast = _zero_memory
-        memory.write_fast = _zero_memory
+        patches.append((sock.memory, "read_fast", _zero_memory))
+        patches.append((sock.memory, "write_fast", _zero_memory))
+    # Instance attributes are saved and set through ``vars`` so the exit
+    # puts back exactly what the instance held: a class-level method that
+    # was shadowed is uncovered again rather than copied onto the instance.
+    saved = [(vars(obj), name, vars(obj).get(name, _ABSENT)) for obj, name, _ in patches]
+    for obj, name, replacement in patches:
+        vars(obj)[name] = replacement
     try:
         yield
     finally:
-        interconnect.send = saved_send
-        protocol._net_send = saved_protocol_send
-        for memory, read_fast, write_fast in saved_memory:
-            memory.read_fast = read_fast
-            memory.write_fast = write_fast
+        for own, name, value in reversed(saved):
+            if value is _ABSENT:
+                del own[name]
+            else:
+                own[name] = value
 
 
 class EngineContext:

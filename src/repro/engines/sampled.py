@@ -7,13 +7,15 @@ counter deltas become the observations behind the per-metric confidence
 intervals (docs/sampling.md).
 
 The fast-forward phase runs directly on the compiled-trace batches: each
-core's slice of the trace arrays is walked with the L1 hit paths (read *and*
-write) inlined, first-touch page placement short-circuited for
-already-placed pages, and everything below the L1 routed through
-:meth:`~repro.system.socket.Socket.access_functional`, which drives the
-coherence protocols' lean state-only ``*_functional`` mirrors.  This is what
-makes fast-forward substantially cheaper per access than a detail window
-while leaving bit-identical architectural state behind
+core's slice of the trace arrays is walked with the L1 lookup and hit paths
+(read *and* write) inlined, first-touch page placement short-circuited for
+already-placed pages, and everything below the L1 routed through the one
+socket miss path, :meth:`~repro.system.socket.Socket.access_l1_missed`,
+with the coherence protocols' lean state-only ``*_functional`` mirrors
+installed as the timing sink
+(:func:`~repro.engines.base.functional_timing`).  This is what makes
+fast-forward substantially cheaper per access than a detail window while
+leaving bit-identical architectural state behind
 (``tests/system/test_sampling.py`` and ``tools/check_sampling.py`` validate
 the resulting estimates against exact runs).
 
@@ -376,13 +378,16 @@ class SampledEngine(ExecutionEngine):
         broadcast-filter classifier see every access (they are
         order-dependent and must not skip), but the placement call is
         short-circuited for already-placed pages (the policies are
-        idempotent, so the skip is state-identical).  L1 read hits are an
-        inlined recency update and L1 write hits to Modified lines an
-        inlined dirty-bit update; everything else goes through
-        :meth:`Socket.access_functional` -- the state-exact mirror of the
-        demand path.  Callers wrap this phase in ``scratch_stats`` and
-        ``functional_timing`` so neither statistics nor busy-until state
-        advance.
+        idempotent, so the skip is state-identical).  For intrusive-LRU
+        L1s the lookup is inlined: read hits are a recency update, write
+        hits to Modified lines a dirty-bit update, and misses and stores
+        to Shared lines make ``l1.lookup``'s counter and recency updates
+        and then enter :meth:`Socket.access_l1_missed` with ``now=0.0``,
+        as ``Core.execute_fast`` does on the timed side.  Other L1s go
+        through :meth:`Socket.access_functional`.  Callers wrap this phase
+        in ``scratch_stats`` and ``functional_timing``, which installs the
+        protocol's lean mirrors as the miss path's timing sink, so neither
+        statistics nor busy-until state advance.
         """
         system = context.system
         classifier = system.page_classifier
@@ -413,6 +418,8 @@ class SampledEngine(ExecutionEngine):
                 core.local_index,
                 core.thread_id,
                 socket.access_functional,
+                socket.access_l1_missed,
+                l1,
                 l1._sets if getattr(l1, "_touch_moves", False) else None,
                 l1.num_sets,
                 socket.socket_id,
@@ -427,13 +434,13 @@ class SampledEngine(ExecutionEngine):
             next_active = []
             for state in active:
                 (core_id, blocks, pages, addrs, writes, end,
-                 local_index, thread_id, access_functional, l1_sets,
-                 num_sets, socket_id, llc_sets, llc_num_sets) = state
+                 local_index, thread_id, access_functional, access_l1_missed,
+                 l1, l1_sets, num_sets, socket_id, llc_sets, llc_num_sets) = state
                 i = cursors[core_id]
                 stop = min(end, i + chunk)
                 executed += stop - i
                 if l1_sets is None:
-                    # Non-LRU L1: every access takes the full functional path.
+                    # Non-LRU L1: access_functional makes the L1 lookup.
                     for offset in range(i, stop):
                         page = pages[offset]
                         if page not in touched_pages:
@@ -453,7 +460,8 @@ class SampledEngine(ExecutionEngine):
                         cache_set = l1_sets.get(block % num_sets)
                         line = cache_set.get(block) if cache_set is not None else None
                         if line is None:
-                            access_functional(local_index, block, write, thread_id)
+                            l1.misses += 1
+                            access_l1_missed(0.0, local_index, block, write, thread_id)
                         elif not write:
                             # Inlined intrusive-LRU L1 read-hit path (recency
                             # only; the cache's own hit counters are skipped).
@@ -471,7 +479,12 @@ class SampledEngine(ExecutionEngine):
                                 if llc_line is not None:
                                     llc_line.dirty = True
                         else:
-                            access_functional(local_index, block, True, thread_id)
+                            # Store to a Shared line: the L1 lookup hit (as
+                            # l1.lookup counts it), then the permission miss.
+                            l1.hits += 1
+                            del cache_set[block]
+                            cache_set[block] = line
+                            access_l1_missed(0.0, local_index, block, True, thread_id)
                 else:
                     for block, page, write in zip(
                         blocks[i:stop], pages[i:stop], writes[i:stop]
@@ -481,7 +494,8 @@ class SampledEngine(ExecutionEngine):
                         cache_set = l1_sets.get(block % num_sets)
                         line = cache_set.get(block) if cache_set is not None else None
                         if line is None:
-                            access_functional(local_index, block, write, thread_id)
+                            l1.misses += 1
+                            access_l1_missed(0.0, local_index, block, write, thread_id)
                         elif not write:
                             del cache_set[block]
                             cache_set[block] = line
@@ -495,7 +509,10 @@ class SampledEngine(ExecutionEngine):
                                 if llc_line is not None:
                                     llc_line.dirty = True
                         else:
-                            access_functional(local_index, block, True, thread_id)
+                            l1.hits += 1
+                            del cache_set[block]
+                            cache_set[block] = line
+                            access_l1_missed(0.0, local_index, block, True, thread_id)
                 cursors[core_id] = stop
                 if stop < end:
                     next_active.append(state)

@@ -18,8 +18,10 @@ the (detail-window-only) counters.  ``docs/sampling.md`` documents the plan
 schema, the error-bound semantics and when *not* to sample.
 
 This module is pure statistics: the driver loop that alternates the phases
-lives in :class:`repro.engines.SampledEngine`, and the functional access
-path in :meth:`repro.system.socket.Socket.access_functional`.
+lives in :class:`repro.engines.SampledEngine`, which fast-forwards over the
+one socket miss path, :meth:`repro.system.socket.Socket.access_l1_missed`,
+with the protocols' lean mirrors installed as the timing sink
+(:func:`repro.engines.base.functional_timing`).
 """
 
 from __future__ import annotations

@@ -179,6 +179,10 @@ class Socket:
         same moves :meth:`SetAssociativeCache.lookup` and ``insert`` make,
         change log included); other replacement policies go through the
         cache methods.
+
+        This is also the fast-forward miss path: the sampled engine calls it
+        with ``now=0.0`` inside ``functional_timing``, which installs the
+        protocol's lean state-only mirrors as the timing sink.
         """
         stats = self.system.stats
         # LLC level (local directory consulted in parallel with the tag check).
@@ -347,163 +351,12 @@ class Socket:
                           thread_id: int = 0) -> None:
         """Functional-only access: advance cache/directory state, no timing.
 
-        Used by the sampled engine's fast-forward segments
-        (:meth:`repro.engines.SampledEngine` drives it through
-        ``EngineContext.run_phase_functional``).  The *state* transitions
-        mirror :meth:`access` exactly -- L1/LLC recency and fills,
-        local-directory bookkeeping, and the global protocol's
-        directory/DRAM-cache updates, invoked through the protocol's
-        ``*_functional`` state-only mirrors (whose generic fallback runs the
-        timed entry points under the functional-timing stubs the caller has
-        installed).  Latencies are discarded and statistics land on the
-        scratch counters the caller installed, so a fast-forward leaves the
-        measured statistics untouched while every cache stays warm.
+        The sampled engine's fast-forward calls this for L1s whose lookup it
+        does not inline, inside ``functional_timing`` and ``scratch_stats``:
+        the timed path runs with the protocol's lean mirrors as its timing
+        sink, and the latency and statistics it produces are discarded.
         """
-        l1 = self.l1s[core_index]
-        if l1._touch_moves:
-            l1_set = l1._sets.get(block % l1.num_sets)
-            line = l1_set.get(block) if l1_set is not None else None
-            if line is not None:
-                l1.hits += 1
-                del l1_set[block]
-                l1_set[block] = line
-            else:
-                l1.misses += 1
-        else:
-            line = l1.lookup(block)
-        if line is not None and (not is_write or line.state is _MODIFIED):
-            if is_write:
-                line.dirty = True
-                llc_line = self.llc.peek(block)
-                if llc_line is not None:
-                    llc_line.dirty = True
-            return
-        llc = self.llc
-        inline_llc = llc._touch_moves
-        if inline_llc:
-            llc_set = llc._sets.get(block % llc.num_sets)
-            llc_line = llc_set.get(block) if llc_set is not None else None
-            if llc_line is not None:
-                llc.hits += 1
-                del llc_set[block]
-                llc_set[block] = llc_line
-            else:
-                llc.misses += 1
-        else:
-            llc_line = llc.lookup(block)
-        if llc_line is not None:
-            if not is_write:
-                self._peer_intervention(core_index, block)
-                self._fill_l1(core_index, block, modified=False)
-                return
-            if llc_line.state is _MODIFIED:
-                self._local_write_update(core_index, block)
-                return
-            self.protocol.write_miss_functional(
-                self.socket_id, block,
-                thread_id=thread_id, has_shared_copy=True,
-            )
-            llc.set_state(block, _MODIFIED, dirty=True)
-            self._local_write_update(core_index, block)
-            return
-        if is_write:
-            self.protocol.write_miss_functional(
-                self.socket_id, block,
-                thread_id=thread_id, has_shared_copy=False,
-            )
-        else:
-            self.protocol.read_miss_functional(self.socket_id, block)
-
-        # The fused LLC + L1 fill of access_l1_missed, with the LLC victim
-        # handed to the protocol's functional mirror.
-        state = _MODIFIED if is_write else _SHARED
-        victim_block = None
-        if inline_llc:
-            if llc_set is None:
-                llc_set = llc._sets[block % llc.num_sets] = {}
-            if len(llc_set) >= llc.associativity:
-                # The LRU victim's line object is reused for the new block.
-                line = llc_set.pop(next(iter(llc_set)))
-                victim_block = line.block
-                victim_dirty = line.dirty
-                llc.evictions += 1
-                if victim_dirty:
-                    llc.dirty_evictions += 1
-                line.block = block
-                line.state = state
-                line.dirty = is_write
-            else:
-                line = CacheLine(block, state, is_write)
-            llc_set[block] = line
-            if llc._track_changes:
-                llc._changes.append(block)
-                if victim_block is not None:
-                    llc._changes.append(victim_block)
-        else:
-            victim = llc.insert(block, state, dirty=is_write)
-            if victim is not None:
-                victim_block = victim.block
-                victim_dirty = victim.dirty
-        local_dir = self.local_directory
-        sharers = local_dir._sharers
-        owners = local_dir._owners
-        l1s = self.l1s
-        if victim_block is not None:
-            mask = sharers.pop(victim_block, 0)
-            if mask:
-                owners.pop(victim_block, None)
-                for core in MASK_CORES[mask] if mask < 256 else cores_of(mask):
-                    line = l1s[core].invalidate(victim_block)
-                    if line is not None and line.dirty:
-                        victim_dirty = True
-            self.protocol.llc_eviction_functional(
-                self.socket_id, victim_block, dirty=victim_dirty
-            )
-        victim_block = None
-        if l1._touch_moves:
-            l1_sets = l1._sets
-            l1_set = l1_sets.get(block % l1.num_sets)
-            if l1_set is None:
-                l1_set = l1_sets[block % l1.num_sets] = {}
-            if len(l1_set) >= l1.associativity:
-                line = l1_set.pop(next(iter(l1_set)))
-                victim_block = line.block
-                victim_dirty = line.dirty
-                l1.evictions += 1
-                if victim_dirty:
-                    l1.dirty_evictions += 1
-                line.block = block
-                line.state = state
-                line.dirty = is_write
-            else:
-                line = CacheLine(block, state, is_write)
-            l1_set[block] = line
-            if l1._track_changes:
-                l1._changes.append(block)
-                if victim_block is not None:
-                    l1._changes.append(victim_block)
-        else:
-            victim = l1.insert(block, state, dirty=is_write)
-            if victim is not None:
-                victim_block = victim.block
-                victim_dirty = victim.dirty
-        sharers[block] = 1 << core_index
-        if is_write:
-            owners[block] = core_index
-        if victim_block is not None:
-            mask = sharers.get(victim_block)
-            if mask is not None:
-                mask &= ~(1 << core_index)
-                if mask:
-                    sharers[victim_block] = mask
-                else:
-                    del sharers[victim_block]
-                if owners.get(victim_block) == core_index:
-                    del owners[victim_block]
-            if victim_dirty:
-                llc_line = llc.peek(victim_block)
-                if llc_line is not None:
-                    llc_line.dirty = True
+        self.access(0.0, core_index, block, is_write, thread_id)
 
     # ------------------------------------------------------------------
     # Intra-socket mechanics
