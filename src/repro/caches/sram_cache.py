@@ -7,7 +7,7 @@ It maintains the hit/miss/eviction statistics the experiments report.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 from .block import CacheBlockState, CacheLine
 from .replacement import LRUPolicy, ReplacementPolicy
@@ -62,14 +62,6 @@ class SetAssociativeCache:
         self._intrusive = getattr(self.replacement, "intrusive", False)
         self._touch_moves = self._intrusive and getattr(self.replacement, "touch_moves", False)
         self._sets: Dict[int, Dict[int, CacheLine]] = {}
-        # Change log for batch engines (see ``repro.engines.vector``): when
-        # tracking is enabled, every mutation that can change which blocks are
-        # resident or their MSI state appends the affected block number (or
-        # ``-1`` for a wholesale ``clear``).  Recency-only moves are not state
-        # changes and are not logged.  The flag is off by default so the
-        # per-access engines pay only a predicted-not-taken branch.
-        self._track_changes = False
-        self._changes: List[int] = []
 
         self.hits = 0
         self.misses = 0
@@ -135,8 +127,6 @@ class SetAssociativeCache:
             cache_set = self._sets[index] = {}
         existing = cache_set.get(block)
         if existing is not None:
-            if self._track_changes and existing.state is not state:
-                self._changes.append(block)
             existing.state = state
             existing.dirty = existing.dirty or dirty
             if self._touch_moves:
@@ -162,10 +152,6 @@ class SetAssociativeCache:
         cache_set[block] = line
         if not self._intrusive:
             self.replacement.on_insert(line)
-        if self._track_changes:
-            self._changes.append(block)
-            if victim is not None:
-                self._changes.append(victim.block)
         return victim
 
     def invalidate(self, block: int) -> Optional[CacheLine]:
@@ -176,8 +162,6 @@ class SetAssociativeCache:
         line = cache_set.pop(block, None)
         if line is not None:
             self.invalidations += 1
-            if self._track_changes:
-                self._changes.append(block)
             return line
         return None
 
@@ -188,8 +172,6 @@ class SetAssociativeCache:
             return None
         line.state = CacheBlockState.SHARED
         line.dirty = False
-        if self._track_changes:
-            self._changes.append(block)
         return line
 
     def set_state(self, block: int, state: CacheBlockState, *, dirty: Optional[bool] = None) -> None:
@@ -200,52 +182,10 @@ class SetAssociativeCache:
         line.state = state
         if dirty is not None:
             line.dirty = dirty
-        if self._track_changes:
-            self._changes.append(block)
 
     def clear(self) -> None:
         """Drop all contents and reset statistics-independent state."""
         self._sets.clear()
-        if self._track_changes:
-            self._changes.append(-1)
-
-    def note_external_change(self, block: int) -> None:
-        """Record a state change made directly on a peeked line.
-
-        The coherence fast paths in :mod:`repro.system.socket` mutate peeked
-        lines in place (peer intervention, directory downgrade); they call
-        this so batch engines observing the change log stay coherent.
-        """
-        if self._track_changes:
-            self._changes.append(block)
-
-    # -- batch-engine helpers -------------------------------------------------
-
-    def record_bulk_hits(self, count: int) -> None:
-        """Credit ``count`` lookups that hit, without touching recency."""
-        self.hits += count
-
-    def bulk_touch(self, blocks: Iterable[int]) -> None:
-        """Refresh recency for ``blocks`` in order (absent blocks skipped).
-
-        Equivalent to the move-to-end a hitting :meth:`lookup` performs, but
-        without statistics: batch engines replay only the *last* touch of each
-        block in a window, in window order, which yields the same final
-        recency order as per-access touches.
-        """
-        if not self._touch_moves:
-            return
-        sets = self._sets
-        num_sets = self.num_sets
-        for block in blocks:
-            cache_set = sets.get(block % num_sets)
-            if cache_set is None:
-                continue
-            line = cache_set.get(block)
-            if line is None:
-                continue
-            del cache_set[block]
-            cache_set[block] = line
 
     # -- statistics -----------------------------------------------------------
 

@@ -176,9 +176,8 @@ class Socket:
         transaction, the LLC fill, the back-invalidation of the LLC victim's
         L1 copies and its hand-off to the protocol, and the L1 fill.  For
         intrusive-LRU caches the LLC lookup and both fills are inlined (the
-        same moves :meth:`SetAssociativeCache.lookup` and ``insert`` make,
-        change log included); other replacement policies go through the
-        cache methods.
+        same moves :meth:`SetAssociativeCache.lookup` and ``insert``
+        make); other replacement policies go through the cache methods.
 
         This is also the fast-forward miss path: the sampled engine calls it
         with ``now=0.0`` inside ``functional_timing``, which installs the
@@ -268,10 +267,6 @@ class Socket:
             else:
                 line = CacheLine(block, state, is_write)
             llc_set[block] = line
-            if llc._track_changes:
-                llc._changes.append(block)
-                if victim_block is not None:
-                    llc._changes.append(victim_block)
         else:
             victim = llc.insert(block, state, dirty=is_write)
             if victim is not None:
@@ -317,10 +312,6 @@ class Socket:
             else:
                 line = CacheLine(block, state, is_write)
             l1_set[block] = line
-            if l1._track_changes:
-                l1._changes.append(block)
-                if victim_block is not None:
-                    l1._changes.append(victim_block)
         else:
             victim = l1.insert(block, state, dirty=is_write)
             if victim is not None:
@@ -371,11 +362,9 @@ class Socket:
         self.system.stats.llc_peer_hits += 1
         self.local_directory.peer_interventions += 1
         # The owner is downgraded to Shared; the LLC copy is made current.
-        owner_l1 = self.l1s[owner]
-        owner_line = owner_l1.peek(block)
+        owner_line = self.l1s[owner].peek(block)
         if owner_line is not None:
             owner_line.state = CacheBlockState.SHARED
-            owner_l1.note_external_change(block)
         del owners[block]
         return self.l1_latency_ns
 
@@ -433,8 +422,6 @@ class Socket:
         llc_set = llc._sets.get(block % llc.num_sets)
         if llc_set and llc_set.pop(block, None) is not None:
             llc.invalidations += 1
-            if llc._track_changes:
-                llc._changes.append(block)
             had_copy = True
         return had_copy
 
@@ -445,14 +432,12 @@ class Socket:
         mask = local_dir._sharers.get(block)
         if mask is not None:
             for core in cores_of(mask):
-                core_l1 = self.l1s[core]
-                line = core_l1.peek(block)
+                line = self.l1s[core].peek(block)
                 if line is not None:
                     if line.dirty:
                         was_dirty = True
                     line.state = CacheBlockState.SHARED
                     line.dirty = False
-                    core_l1.note_external_change(block)
             local_dir._owners.pop(block, None)
         llc_line = self.llc.peek(block)
         if llc_line is not None:

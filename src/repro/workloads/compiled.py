@@ -51,7 +51,7 @@ class CompiledTrace:
         Number of accesses in the trace.
     """
 
-    __slots__ = ("addrs", "writes", "gaps", "blocks", "pages", "length", "_columns")
+    __slots__ = ("addrs", "writes", "gaps", "blocks", "pages", "length")
 
     def __init__(
         self,
@@ -67,26 +67,6 @@ class CompiledTrace:
         self.blocks = blocks
         self.pages = pages
         self.length = len(addrs)
-        self._columns: Optional[Dict[str, np.ndarray]] = None
-
-    def columns(self) -> Dict[str, np.ndarray]:
-        """Columnar numpy views of the trace, built once and cached.
-
-        Returns ``{"blocks": int64, "pages": int64, "writes": bool,
-        "gaps": int64}`` arrays of length :attr:`length`.  The vectorized
-        engine (:mod:`repro.engines.vector`) classifies batch windows from
-        these; the per-access engines keep indexing the Python lists, which
-        remain the canonical columns.
-        """
-        cols = self._columns
-        if cols is None:
-            cols = self._columns = {
-                "blocks": np.asarray(self.blocks, dtype=np.int64),
-                "pages": np.asarray(self.pages, dtype=np.int64),
-                "writes": np.asarray(self.writes, dtype=bool),
-                "gaps": np.asarray(self.gaps, dtype=np.int64),
-            }
-        return cols
 
     @classmethod
     def empty(cls) -> "CompiledTrace":
@@ -117,24 +97,13 @@ class CompiledTrace:
         addrs = np.asarray(addrs, dtype=np.int64)
         writes = np.asarray(writes, dtype=bool)
         gaps = np.asarray(gaps, dtype=np.int64)
-        blocks = addrs // layout.block_size
-        pages = addrs // layout.page_size
-        trace = cls(
+        return cls(
             addrs.tolist(),
             writes.tolist(),
             gaps.tolist(),
-            blocks.tolist(),
-            pages.tolist(),
+            (addrs // layout.block_size).tolist(),
+            (addrs // layout.page_size).tolist(),
         )
-        # The arrays already exist here; seed the columns() cache so batch
-        # engines don't round-trip the lists back through numpy.
-        trace._columns = {
-            "blocks": blocks,
-            "pages": pages,
-            "writes": writes,
-            "gaps": gaps,
-        }
-        return trace
 
     def __len__(self) -> int:
         return self.length

@@ -86,9 +86,6 @@ def test_third_party_engine_plugs_into_simulator_and_legacy_alias():
 
     engines.register(TracingEngine)
     try:
-        # Live through the legacy alias too.
-        from repro.system import simulator
-        assert "test-tracing" in simulator.ENGINES
         assert "test-tracing" in engines.names()
 
         def run(engine):

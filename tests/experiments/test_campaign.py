@@ -77,6 +77,7 @@ def test_spec_default_store_directory(tmp_path):
         ({"sweeps": [{"workloads": ["facesim"],
                       "topologies": [{"sockets": "two"}]}]},
          "must be integers"),
+        ({"engine": "vector"}, "unknown engine"),
     ],
 )
 def test_spec_validation_errors(mutation, fragment):

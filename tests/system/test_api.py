@@ -1,7 +1,6 @@
 """The `repro.api` facade: the supported import surface for scripts.
 
-Pins the five verbs, the top-level re-exports, and the deprecation shims
-left at the old import sites (docs/architecture.md).
+Pins the five verbs and the top-level re-exports (docs/architecture.md).
 """
 
 import io
@@ -76,24 +75,6 @@ def test_analyze_and_import_trace_are_wired(tmp_path):
     profile = api.analyze(trace_dir)
     assert profile["schema"] == "workload-profile/v1"
     assert profile["total_accesses"] > 0
-
-
-@pytest.mark.parametrize(
-    "module, name",
-    [
-        ("repro.experiments", "run_campaign"),
-        ("repro.experiments", "campaign_status"),
-        ("repro.stats", "open_store"),
-        ("repro.workloads", "analyze"),
-        ("repro.system", "simulate"),
-    ],
-)
-def test_old_import_sites_warn_but_work(module, name):
-    import importlib
-
-    with pytest.deprecated_call():
-        value = getattr(importlib.import_module(module), name)
-    assert callable(value)
 
 
 def test_unknown_attribute_still_raises():

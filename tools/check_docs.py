@@ -52,14 +52,12 @@ REQUIRED_DOCS = (
 REQUIRED_SECTIONS = {
     "docs/performance.md": (
         "## Miss path",
-        "## Vectorized execution",
-        "vector_speedup_",
+        "## Why there is no batch engine",
         "## Parallel windows",
         "parallel_speedup_",
     ),
     "docs/architecture.md": (
         "## Execution engines",
-        "| `vector` |",
         "| `sampled-par` |",
         "## Serving layer",
         "`repro.api`",
