@@ -91,13 +91,6 @@ class DRAMCache:
         self._lines: Dict[int, CacheLine] = {}
         self._sets: Dict[int, Dict[int, CacheLine]] = {}
 
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.dirty_evictions = 0
-        self.invalidations = 0
-        self.predictor_bypasses = 0
-
     # -- geometry -----------------------------------------------------------
 
     def set_index(self, block: int) -> int:
@@ -107,7 +100,7 @@ class DRAMCache:
     # -- queries ------------------------------------------------------------
 
     def contains(self, block: int) -> bool:
-        """True if ``block`` is resident (no statistics update)."""
+        """True if ``block`` is resident (no recency update)."""
         if self.associativity == 1:
             line = self._lines.get(block % self.num_sets)
             return line is not None and line.block == block
@@ -129,9 +122,8 @@ class DRAMCache:
     def probe(self, block: int) -> DRAMCacheProbe:
         """Look up ``block``, consulting the miss predictor first.
 
-        Updates hit/miss statistics.  When the predictor predicts a miss the
-        DRAM array is not accessed; the caller should charge only the
-        predictor latency in that case.
+        When the predictor predicts a miss the DRAM array is not accessed;
+        the caller should charge only the predictor latency in that case.
         """
         if self.associativity == 1:
             line = self._lines.get(block % self.num_sets)
@@ -142,34 +134,22 @@ class DRAMCache:
         predictor = self.miss_predictor
         if predictor is not None:
             # Inlined RegionMissPredictor.predicts_miss.
-            predictor.lookups += 1
             table = predictor._table
             region = (block * predictor._block_size) // predictor.region_size
             bits = table.get(region)
             if bits is None:
-                predictor.untracked_lookups += 1
-                predictor.predicted_miss += 1
                 predicted_miss = True
             else:
                 table.move_to_end(region)
-                if bits & (1 << (block % predictor._blocks_per_region)):
-                    predictor.predicted_present += 1
-                    predicted_miss = False
-                else:
-                    predictor.predicted_miss += 1
-                    predicted_miss = True
+                predicted_miss = not bits & (1 << (block % predictor._blocks_per_region))
             # A predicted miss skips the array only when the tag store agrees:
             # on a mis-prediction (the predictor lost this region's residency
             # information) the array is accessed, so a resident -- possibly
             # dirty -- line is never silently ignored.
             if predicted_miss and line is None:
-                self.predictor_bypasses += 1
-                self.misses += 1
                 return _PROBE_MISS_BYPASS
         if line is None:
-            self.misses += 1
             return _PROBE_MISS_ARRAY
-        self.hits += 1
         if self.associativity > 1:
             # Intrusive LRU touch: move the line to the back of its set.
             cache_set = self._sets[block % self.num_sets]
@@ -211,9 +191,6 @@ class DRAMCache:
                 # The displaced line itself is the victim record (it is no
                 # longer referenced by the cache, so handing it out is safe).
                 victim = existing
-                self.evictions += 1
-                if existing.dirty:
-                    self.dirty_evictions += 1
                 if predictor is not None:
                     predictor.note_evict(existing.block)
 
@@ -235,9 +212,6 @@ class DRAMCache:
         victim = None
         if len(cache_set) >= self.associativity:
             victim = cache_set.pop(next(iter(cache_set)))
-            self.evictions += 1
-            if victim.dirty:
-                self.dirty_evictions += 1
             if predictor is not None:
                 predictor.note_evict(victim.block)
         cache_set[block] = CacheLine(block, state, stored_dirty)
@@ -249,10 +223,10 @@ class DRAMCache:
         """Insert each iterable of block numbers clean, in order (prewarm fast path).
 
         Semantically identical to calling ``insert(block, dirty=False)`` for
-        every block of every argument in order -- same eviction counters,
-        same final cache and predictor state -- but vectorised when the
-        arguments are contiguous, pairwise disjoint block ranges filling an
-        empty direct-mapped cache (the prewarm's cold, warm and hot regions):
+        every block of every argument in order -- same final cache and
+        predictor state -- but vectorised when the arguments are contiguous,
+        pairwise disjoint block ranges filling an empty direct-mapped cache
+        (the prewarm's cold, warm and hot regions):
         set conflicts are resolved on index intervals, only the lines that
         survive every later range are built (with one C-level ``map`` per
         run), and predictor presence bits are updated per *region* instead
@@ -338,7 +312,6 @@ class DRAMCache:
                     if cursor < over_lo:
                         first_fills.append(range(cursor, over_lo))
                     victims.append((block + over_lo - lo, victim_block, over_hi - over_lo))
-                    self.evictions += over_hi - over_lo
                     cursor = over_hi
                 if cursor < hi:
                     first_fills.append(range(cursor, hi))
@@ -409,7 +382,6 @@ class DRAMCache:
             line = cache_set.pop(block, None) if cache_set is not None else None
             if line is None:
                 return None
-        self.invalidations += 1
         predictor = self.miss_predictor
         if predictor is not None:
             # Inlined RegionMissPredictor.note_evict.
@@ -432,7 +404,7 @@ class DRAMCache:
         self._lines.clear()
         self._sets.clear()
 
-    # -- statistics -----------------------------------------------------------
+    # -- inspection -----------------------------------------------------------
 
     def occupancy(self) -> int:
         """Number of valid resident blocks."""
@@ -449,16 +421,6 @@ class DRAMCache:
         else:
             for cache_set in self._sets.values():
                 yield from cache_set.keys()
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    def hit_rate(self) -> float:
-        """Hit fraction over all probes (0.0 when never probed)."""
-        if not self.accesses:
-            return 0.0
-        return self.hits / self.accesses
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

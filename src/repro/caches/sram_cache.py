@@ -2,7 +2,9 @@
 
 The model is functional (hit/miss, MSI state, dirty bits, LRU) with latency
 left to the owning socket, which knows the configured tag/data latencies.
-It maintains the hit/miss/eviction statistics the experiments report.
+It keeps no counters of its own: the hit/miss statistics the experiments
+report are :class:`~repro.stats.counters.SimulationStats` fields, counted
+by the socket.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ class SetAssociativeCache:
     block_size:
         Block size in bytes.
     name:
-        Label used in statistics and error messages (e.g. ``"socket0.llc"``).
+        Label used in error messages (e.g. ``"socket0.llc"``).
     replacement:
         Replacement policy instance; defaults to LRU.
     """
@@ -63,12 +65,6 @@ class SetAssociativeCache:
         self._touch_moves = self._intrusive and getattr(self.replacement, "touch_moves", False)
         self._sets: Dict[int, Dict[int, CacheLine]] = {}
 
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.dirty_evictions = 0
-        self.invalidations = 0
-
     # -- geometry -----------------------------------------------------------
 
     def set_index(self, block: int) -> int:
@@ -78,7 +74,7 @@ class SetAssociativeCache:
     # -- queries ------------------------------------------------------------
 
     def contains(self, block: int) -> bool:
-        """True if ``block`` is resident (does not update recency or stats)."""
+        """True if ``block`` is resident (does not update recency)."""
         cache_set = self._sets.get(block % self.num_sets)
         return cache_set is not None and block in cache_set
 
@@ -90,13 +86,11 @@ class SetAssociativeCache:
         return cache_set.get(block)
 
     def lookup(self, block: int) -> Optional[CacheLine]:
-        """Access ``block``: update recency and hit/miss statistics."""
+        """Access ``block``: return its line (``None`` on a miss) and update recency."""
         cache_set = self._sets.get(block % self.num_sets)
         line = cache_set.get(block) if cache_set is not None else None
         if line is None:
-            self.misses += 1
             return None
-        self.hits += 1
         if self._touch_moves:
             # Move to the back of the set's recency order (dicts preserve
             # insertion order, so delete + reinsert is an O(1) move-to-end).
@@ -144,9 +138,6 @@ class SetAssociativeCache:
             else:
                 victim = self.replacement.choose_victim(cache_set.values())
                 del cache_set[victim.block]
-            self.evictions += 1
-            if victim.dirty:
-                self.dirty_evictions += 1
 
         line = CacheLine(block, state, dirty)
         cache_set[block] = line
@@ -159,11 +150,7 @@ class SetAssociativeCache:
         cache_set = self._sets.get(block % self.num_sets)
         if not cache_set:
             return None
-        line = cache_set.pop(block, None)
-        if line is not None:
-            self.invalidations += 1
-            return line
-        return None
+        return cache_set.pop(block, None)
 
     def downgrade(self, block: int) -> Optional[CacheLine]:
         """Transition ``block`` from MODIFIED to SHARED, returning the line."""
@@ -184,10 +171,10 @@ class SetAssociativeCache:
             line.dirty = dirty
 
     def clear(self) -> None:
-        """Drop all contents and reset statistics-independent state."""
+        """Drop all contents."""
         self._sets.clear()
 
-    # -- statistics -----------------------------------------------------------
+    # -- inspection -----------------------------------------------------------
 
     def occupancy(self) -> int:
         """Number of resident blocks."""
@@ -197,16 +184,6 @@ class SetAssociativeCache:
         """Iterate over the block numbers of all resident lines."""
         for cache_set in self._sets.values():
             yield from cache_set.keys()
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    def hit_rate(self) -> float:
-        """Hit fraction over all lookups (0.0 when never accessed)."""
-        if not self.accesses:
-            return 0.0
-        return self.hits / self.accesses
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

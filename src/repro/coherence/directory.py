@@ -34,17 +34,6 @@ class DirectoryState(enum.Enum):
     __hash__ = object.__hash__  # identity hashing, C-level
 
 
-#: Precomputed transition labels, ``_TRANSITION_KEYS[new][old] == "old->new"``,
-#: so recording a transition neither formats a string nor builds a key tuple.
-_TRANSITION_KEYS = {
-    new: {old: f"{old.value}->{new.value}" for old in DirectoryState}
-    for new in DirectoryState
-}
-_TO_INVALID = _TRANSITION_KEYS[DirectoryState.INVALID]
-_TO_SHARED = _TRANSITION_KEYS[DirectoryState.SHARED]
-_TO_MODIFIED = _TRANSITION_KEYS[DirectoryState.MODIFIED]
-
-
 @dataclass(slots=True)
 class DirectoryEntry:
     """One tracked block."""
@@ -73,23 +62,16 @@ class GlobalDirectory:
         self.latency_ns = latency_ns
         self.name = name or f"directory[{home_socket}]"
         self._entries: Dict[int, DirectoryEntry] = {}
-
-        self.lookups = 0
-        self.allocations = 0
-        self.deallocations = 0
-        self.transitions: Dict[str, int] = {}
         self.peak_entries = 0
 
     # -- lookup / allocation ----------------------------------------------
 
     def lookup(self, block: int) -> Optional[DirectoryEntry]:
-        """Return the entry for ``block`` (None when untracked); counts a lookup."""
-        self.lookups += 1
+        """Return the entry for ``block`` (None when untracked)."""
         return self._entries.get(block)
 
-    def peek(self, block: int) -> Optional[DirectoryEntry]:
-        """Return the entry without counting a lookup (for assertions/tests)."""
-        return self._entries.get(block)
+    #: Assertions and tests inspect entries under this name.
+    peek = lookup
 
     def state_of(self, block: int) -> DirectoryState:
         """Return the stable state of ``block`` (INVALID when untracked)."""
@@ -101,14 +83,9 @@ class GlobalDirectory:
         if entry is None:
             entry = DirectoryEntry(block)
             self._entries[block] = entry
-            self.allocations += 1
             if len(self._entries) > self.peak_entries:
                 self.peak_entries = len(self._entries)
         return entry
-
-    def _record_transition(self, old: DirectoryState, new: DirectoryState) -> None:
-        key = _TRANSITION_KEYS[new][old]
-        self.transitions[key] = self.transitions.get(key, 0) + 1
 
     # -- state changes -------------------------------------------------------
 
@@ -118,11 +95,8 @@ class GlobalDirectory:
         entry = entries.get(block)
         if entry is None:
             entry = entries[block] = DirectoryEntry(block)
-            self.allocations += 1
             if len(entries) > self.peak_entries:
                 self.peak_entries = len(entries)
-        key = _TO_MODIFIED[entry.state]
-        self.transitions[key] = self.transitions.get(key, 0) + 1
         entry.state = DirectoryState.MODIFIED
         entry.owner = owner
         entry.sharers = {owner}
@@ -133,7 +107,6 @@ class GlobalDirectory:
         if not sharers:
             raise ValueError("shared state requires at least one sharer")
         entry = self._get_or_allocate(block)
-        self._record_transition(entry.state, DirectoryState.SHARED)
         entry.state = DirectoryState.SHARED
         entry.owner = None
         entry.sharers = set(sharers)
@@ -145,14 +118,11 @@ class GlobalDirectory:
         entry = entries.get(block)
         if entry is None:
             entry = entries[block] = DirectoryEntry(block)
-            self.allocations += 1
             if len(entries) > self.peak_entries:
                 self.peak_entries = len(entries)
         if entry.state is DirectoryState.MODIFIED:
             raise ValueError(f"add_sharer on Modified block {block:#x}")
         if entry.state is DirectoryState.INVALID:
-            key = _TO_SHARED[DirectoryState.INVALID]
-            self.transitions[key] = self.transitions.get(key, 0) + 1
             entry.state = DirectoryState.SHARED
         entry.sharers.add(socket)
         return entry
@@ -170,11 +140,7 @@ class GlobalDirectory:
 
     def invalidate(self, block: int) -> None:
         """Remove the entry for ``block`` (transition to Invalid / untracked)."""
-        entry = self._entries.pop(block, None)
-        if entry is not None:
-            key = _TO_INVALID[entry.state]
-            self.transitions[key] = self.transitions.get(key, 0) + 1
-            self.deallocations += 1
+        self._entries.pop(block, None)
 
     # -- inspection ----------------------------------------------------------
 

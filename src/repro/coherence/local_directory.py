@@ -58,19 +58,10 @@ class LocalDirectory:
         #: block -> core holding it Modified (always one of its sharers).
         self._owners: Dict[int, int] = {}
 
-        self.lookups = 0
-        self.peer_interventions = 0
-        self.peer_invalidations = 0
-
     # -- queries ------------------------------------------------------------
 
-    def lookup(self, block: int) -> Optional[LocalDirectoryEntry]:
-        """Return a snapshot of ``block``'s entry (None when no core caches it)."""
-        self.lookups += 1
-        return self.peek(block)
-
     def peek(self, block: int) -> Optional[LocalDirectoryEntry]:
-        """Like :meth:`lookup`, without counting a lookup."""
+        """Return a snapshot of ``block``'s entry (None when no core caches it)."""
         mask = self._sharers.get(block)
         if mask is None:
             return None
@@ -97,8 +88,6 @@ class LocalDirectory:
         """Record a write by ``core``; returns the peer cores to invalidate."""
         bit = 1 << core
         peers = cores_of(self._sharers.get(block, 0) & ~bit)
-        if peers:
-            self.peer_invalidations += len(peers)
         self._sharers[block] = bit
         self._owners[block] = core
         return peers

@@ -82,31 +82,19 @@ class C3DProtocol(GlobalCoherenceProtocol):
                 # Inlined DRAMCache.probe (this is the hottest C3D path): the
                 # array is accessed unless the predictor says "absent" and
                 # the tag store agrees.
-                predictor.lookups += 1
                 table = predictor._table
                 region = (block * predictor._block_size) // predictor.region_size
                 bits = table.get(region)
                 present = False
-                if bits is None:
-                    predictor.untracked_lookups += 1
-                    predictor.predicted_miss += 1
-                else:
+                if bits is not None:
                     table.move_to_end(region)
-                    if bits & (1 << (block % predictor._blocks_per_region)):
-                        predictor.predicted_present += 1
-                        present = True
-                    else:
-                        predictor.predicted_miss += 1
+                    present = bits & (1 << (block % predictor._blocks_per_region))
                 line = dram_cache._lines.get(block % dram_cache.num_sets)
                 if line is not None and line.block == block:
-                    dram_cache.hits += 1
                     stats.dram_cache_hits += 1
                     return latency + sock.dram_cache_latency_ns, _LOCAL_DRAM_CACHE
-                dram_cache.misses += 1
                 if present:
                     latency += sock.dram_cache_latency_ns
-                else:
-                    dram_cache.predictor_bypasses += 1
             else:
                 probe = dram_cache.probe(block)
                 if probe.array_accessed:
@@ -204,32 +192,19 @@ class C3DProtocol(GlobalCoherenceProtocol):
                 predictor = dram_cache.miss_predictor
                 if predictor is not None and dram_cache.associativity == 1:
                     # Inlined DRAMCache.probe, as in read_miss.
-                    predictor.lookups += 1
                     table = predictor._table
                     region = (block * predictor._block_size) // predictor.region_size
                     bits = table.get(region)
                     present = False
-                    if bits is None:
-                        predictor.untracked_lookups += 1
-                        predictor.predicted_miss += 1
-                    else:
+                    if bits is not None:
                         table.move_to_end(region)
-                        if bits & (1 << (block % predictor._blocks_per_region)):
-                            predictor.predicted_present += 1
-                            present = True
-                        else:
-                            predictor.predicted_miss += 1
+                        present = bits & (1 << (block % predictor._blocks_per_region))
                     line = dram_cache._lines.get(block % dram_cache.num_sets)
                     if line is not None and line.block == block:
-                        dram_cache.hits += 1
                         latency += sock.dram_cache_latency_ns
                         local_hit = True
-                    else:
-                        dram_cache.misses += 1
-                        if present:
-                            latency += sock.dram_cache_latency_ns
-                        else:
-                            dram_cache.predictor_bypasses += 1
+                    elif present:
+                        latency += sock.dram_cache_latency_ns
                 else:
                     probe = dram_cache.probe(block)
                     if probe.array_accessed:

@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Optional
 from ..caches.block import CacheBlockState
 from ..stats.counters import SimulationStats
 from .store_buffer import StoreBuffer
-from .tlb import TLB
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..system.socket import Socket
@@ -36,7 +35,6 @@ class Core:
         *,
         clock_ghz: float = 3.0,
         store_buffer_entries: int = 32,
-        tlb_entries: int = 64,
         thread_id: Optional[int] = None,
     ) -> None:
         self.core_id = core_id
@@ -45,8 +43,6 @@ class Core:
         self.cycle_ns = 1.0 / clock_ghz
         self.time = 0.0
         self.store_buffer = StoreBuffer(store_buffer_entries)
-        self.tlb = TLB(tlb_entries)
-        self.instructions = 0
         #: Socket-local L1 index, fixed at construction (hot-loop fast path).
         self.local_index = socket.local_index_of(core_id)
         #: This core's L1, plus whether its recency can be maintained
@@ -69,17 +65,13 @@ class Core:
         """Model ``count`` non-memory instructions at 1 IPC."""
         if count > 0:
             self.time += count * self.cycle_ns
-            self.instructions += count
 
     # -- the per-access execution loop ------------------------------------------
 
     def execute(self, access: "MemoryAccess") -> float:
         """Execute one trace record; returns the core's new local time."""
         self.advance_instructions(access.gap)
-        layout = self.socket.layout
-        block = layout.block_of(access.addr)
-        self.tlb.access(layout.page_of(access.addr))
-        self.instructions += 1
+        block = self.socket.layout.block_of(access.addr)
         self.stats.instructions += 1
 
         if access.is_write:
@@ -88,36 +80,21 @@ class Core:
             self._execute_load(block)
         return self.time
 
-    def execute_fast(self, block: int, page: int, is_write: bool, gap: int) -> float:
+    def execute_fast(self, block: int, is_write: bool, gap: int) -> float:
         """Hot-loop variant of :meth:`execute` for compiled traces.
 
-        Takes precomputed block/page numbers, hoists the attribute and
-        property lookups of the legacy path into locals and inlines the TLB,
-        the store buffer (drain, forwarding scan and push) and the L1 hit
-        path (the L1 is LRU in every evaluated configuration, so its recency
-        update is the same intrusive move the cache itself would perform).
-        The sequence of architectural and statistics updates is identical to
-        ``execute`` (the engine equivalence golden test asserts this), only
-        the Python-level indirection differs.
+        Takes a precomputed block number, hoists the attribute and property
+        lookups of the legacy path into locals and inlines the store buffer
+        (drain, forwarding scan and push) and the L1 hit path (the L1 is LRU
+        in every evaluated configuration, so its recency update is the same
+        intrusive move the cache itself would perform).  The sequence of
+        architectural and statistics updates is identical to ``execute``
+        (the engine equivalence golden test asserts this), only the
+        Python-level indirection differs.
         """
         time = self.time
         if gap > 0:
             time += gap * self.cycle_ns
-            self.instructions += gap + 1
-        else:
-            self.instructions += 1
-        # Inlined TLB access (the charged latency is zero by default and the
-        # legacy path discards it; only the hit/miss accounting matters here).
-        tlb = self.tlb
-        tlb_pages = tlb._pages
-        if page in tlb_pages:
-            tlb_pages.move_to_end(page)
-            tlb.hits += 1
-        else:
-            tlb.misses += 1
-            if len(tlb_pages) >= tlb.entries:
-                tlb_pages.popitem(last=False)
-            tlb_pages[page] = None
         socket = self.socket
         stats = socket.system.stats
         stats.instructions += 1
@@ -134,11 +111,8 @@ class Core:
                 cache_set = l1._sets.get(block % l1.num_sets)
                 line = cache_set.get(block) if cache_set is not None else None
                 if line is not None:
-                    l1.hits += 1
                     del cache_set[block]
                     cache_set[block] = line
-                else:
-                    l1.misses += 1
             else:
                 line = l1.lookup(block)
             if line is not None and line.state is _MODIFIED:
@@ -163,8 +137,6 @@ class Core:
             completion = time + latency
             if len(entries) >= store_buffer.capacity:
                 stall_ns = entries[0][0] - time
-                store_buffer.stalls += 1
-                store_buffer.total_stall_ns += stall_ns
                 stats.store_buffer_stalls += 1
                 stats.store_buffer_stall_ns += stall_ns
                 time += stall_ns
@@ -175,7 +147,6 @@ class Core:
             if entries and entries[-1][0] > completion:
                 completion = entries[-1][0]
             entries.append((completion, block))
-            store_buffer.pushes += 1
             time += self.cycle_ns
             acc = stats.write_latency
         else:
@@ -187,7 +158,6 @@ class Core:
                     entries.popleft()
                 for _completion, pending_block in entries:
                     if pending_block == block:
-                        store_buffer.forward_hits += 1
                         forwarded = True
                         break
             if forwarded:
@@ -198,13 +168,11 @@ class Core:
                 cache_set = l1._sets.get(block % l1.num_sets)
                 line = cache_set.get(block) if cache_set is not None else None
                 if line is not None:
-                    l1.hits += 1
                     del cache_set[block]
                     cache_set[block] = line
                     stats.l1_hits += 1
                     latency = socket.l1_latency_ns
                 else:
-                    l1.misses += 1
                     stats.l1_misses += 1
                     latency, _source = socket.access_l1_missed(
                         time, self.local_index, block, False, self.thread_id

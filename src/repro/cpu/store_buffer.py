@@ -37,10 +37,6 @@ class StoreBuffer:
         self.capacity = capacity
         # entries: (completion_time, block)
         self._entries: Deque[Tuple[float, int]] = deque()
-        self.pushes = 0
-        self.stalls = 0
-        self.total_stall_ns = 0.0
-        self.forward_hits = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -73,7 +69,6 @@ class StoreBuffer:
             entries.popleft()
         for _completion, pending_block in entries:
             if pending_block == block:
-                self.forward_hits += 1
                 return True
         return False
 
@@ -96,8 +91,6 @@ class StoreBuffer:
             oldest_completion = entries[0][0]
             stall_ns = max(0.0, oldest_completion - now)
             issue_time = now + stall_ns
-            self.stalls += 1
-            self.total_stall_ns += stall_ns
             while entries and entries[0][0] <= issue_time:
                 entries.popleft()
         completion = max(completion_time, issue_time)
@@ -106,7 +99,6 @@ class StoreBuffer:
             # before the store ahead of it.
             completion = max(completion, entries[-1][0])
         entries.append((completion, block))
-        self.pushes += 1
         return StorePushResult(stall_ns=stall_ns, issue_time=issue_time)
 
     def occupancy(self) -> int:

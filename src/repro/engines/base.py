@@ -450,7 +450,7 @@ class EngineContext:
                 touched_pages[page] = home_of_page(page, socket_id)
             if record_access is not None:
                 record_access(thread_id, addr)
-            return execute_fast(block, page, write, gap)
+            return execute_fast(block, write, gap)
 
         if len(states) <= 2:
             # Two-stream merge: compare the two head entries directly.
@@ -495,7 +495,7 @@ class EngineContext:
                 touched_pages[page] = home_of_page(page, socket_id)
             if record_access is not None:
                 record_access(thread_id, addr)
-            new_time = execute_fast(block, page, write, gap)
+            new_time = execute_fast(block, write, gap)
             executed += 1
             left = remaining[cid] - 1
             remaining[cid] = left

@@ -381,8 +381,8 @@ class SampledEngine(ExecutionEngine):
         idempotent, so the skip is state-identical).  For intrusive-LRU
         L1s the lookup is inlined: read hits are a recency update, write
         hits to Modified lines a dirty-bit update, and misses and stores
-        to Shared lines make ``l1.lookup``'s counter and recency updates
-        and then enter :meth:`Socket.access_l1_missed` with ``now=0.0``,
+        to Shared lines make ``l1.lookup``'s recency update and then enter
+        :meth:`Socket.access_l1_missed` with ``now=0.0``,
         as ``Core.execute_fast`` does on the timed side.  Other L1s go
         through :meth:`Socket.access_functional`.  Callers wrap this phase
         in ``scratch_stats`` and ``functional_timing``, which installs the
@@ -419,7 +419,6 @@ class SampledEngine(ExecutionEngine):
                 core.thread_id,
                 socket.access_functional,
                 socket.access_l1_missed,
-                l1,
                 l1._sets if getattr(l1, "_touch_moves", False) else None,
                 l1.num_sets,
                 socket.socket_id,
@@ -435,7 +434,7 @@ class SampledEngine(ExecutionEngine):
             for state in active:
                 (core_id, blocks, pages, addrs, writes, end,
                  local_index, thread_id, access_functional, access_l1_missed,
-                 l1, l1_sets, num_sets, socket_id, llc_sets, llc_num_sets) = state
+                 l1_sets, num_sets, socket_id, llc_sets, llc_num_sets) = state
                 i = cursors[core_id]
                 stop = min(end, i + chunk)
                 executed += stop - i
@@ -460,11 +459,9 @@ class SampledEngine(ExecutionEngine):
                         cache_set = l1_sets.get(block % num_sets)
                         line = cache_set.get(block) if cache_set is not None else None
                         if line is None:
-                            l1.misses += 1
                             access_l1_missed(0.0, local_index, block, write, thread_id)
                         elif not write:
-                            # Inlined intrusive-LRU L1 read-hit path (recency
-                            # only; the cache's own hit counters are skipped).
+                            # Inlined intrusive-LRU L1 read-hit path (recency).
                             del cache_set[block]
                             cache_set[block] = line
                         elif line.state is _MODIFIED:
@@ -479,9 +476,8 @@ class SampledEngine(ExecutionEngine):
                                 if llc_line is not None:
                                     llc_line.dirty = True
                         else:
-                            # Store to a Shared line: the L1 lookup hit (as
-                            # l1.lookup counts it), then the permission miss.
-                            l1.hits += 1
+                            # Store to a Shared line: the L1 lookup hit, then
+                            # the permission miss.
                             del cache_set[block]
                             cache_set[block] = line
                             access_l1_missed(0.0, local_index, block, True, thread_id)
@@ -494,7 +490,6 @@ class SampledEngine(ExecutionEngine):
                         cache_set = l1_sets.get(block % num_sets)
                         line = cache_set.get(block) if cache_set is not None else None
                         if line is None:
-                            l1.misses += 1
                             access_l1_missed(0.0, local_index, block, write, thread_id)
                         elif not write:
                             del cache_set[block]
@@ -509,7 +504,6 @@ class SampledEngine(ExecutionEngine):
                                 if llc_line is not None:
                                     llc_line.dirty = True
                         else:
-                            l1.hits += 1
                             del cache_set[block]
                             cache_set[block] = line
                             access_l1_missed(0.0, local_index, block, True, thread_id)

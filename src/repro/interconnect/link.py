@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from typing import Dict, List
+
+from .packet import MessageClass
+
 __all__ = ["Link"]
 
 
@@ -11,8 +15,10 @@ class Link:
     Table II gives 25.6 GB/s per link.  Like the memory channels, the link
     uses busy-until accounting: a packet arriving while the link is still
     serialising earlier packets waits for its turn, which is how QPI
-    congestion manifests as latency.  Fig. 2's ``inf_qpi_bw`` idealisation
-    disables the queueing term.
+    congestion manifests as latency.  The
+    :class:`~repro.interconnect.network.Interconnect` advances that state
+    inline in ``send``.  Fig. 2's ``inf_qpi_bw`` idealisation disables the
+    queueing term.
     """
 
     def __init__(self, src: int, dst: int, bandwidth_bytes_per_ns: float,
@@ -25,27 +31,19 @@ class Link:
         self.infinite_bandwidth = infinite_bandwidth
         self.busy_until = 0.0
         self.last_arrival = 0.0
-        self.busy_time = 0.0
+        #: The per-class message counts of every route that crosses this
+        #: link, and each class's serialisation time on it.  The interconnect
+        #: registers both; it counts messages and never accumulates time.
+        self.route_counts: List[Dict[MessageClass, int]] = []
+        self.service_ns: Dict[MessageClass, float] = {}
 
-    def occupy(self, now: float, size_bytes: int) -> float:
-        """Reserve the link for ``size_bytes`` starting no earlier than ``now``.
-
-        Returns the queueing delay experienced by this packet.  Packets that
-        arrive out of time order (trace-driven core skew) are assumed to use
-        an earlier idle slot and are charged no queueing delay -- see
-        :meth:`repro.memory.main_memory.MemoryChannel.occupy` for why.
-        """
-        if self.infinite_bandwidth:
-            return 0.0
-        service_time = size_bytes / self.bandwidth_bytes_per_ns
-        self.busy_time += service_time
-        if now < self.last_arrival:
-            return 0.0
-        self.last_arrival = now
-        start = max(now, self.busy_until)
-        queue_delay = start - now
-        self.busy_until = start + service_time
-        return queue_delay
+    @property
+    def busy_time(self) -> float:
+        """Serialisation time of every packet that crossed this link."""
+        service_ns = self.service_ns
+        return sum(
+            count * service_ns[cls] for counts in self.route_counts for cls, count in counts.items()
+        )
 
     def utilisation(self, elapsed_ns: float) -> float:
         """Fraction of time this link was busy over ``elapsed_ns``."""

@@ -58,13 +58,15 @@ class Interconnect:
         self._service_ns: Dict[MessageClass, float] = {
             cls: size / link_bandwidth_gbps for cls, size in self._packet_sizes.items()
         }
+        for link in self._links.values():
+            link.service_ns = self._service_ns
         # Route table, ``[src][dst] -> (links, base latency, message counts)``.
         # Topologies are static, so each pair's unloaded latency
         # (``hop_latency_ns`` per hop) and the links whose busy-until state
         # a packet advances (none with infinite bandwidth) are resolved once.
         # Traffic is counted only as messages per class and pair: every byte
-        # total is derived from these counts on read, never accumulated per
-        # send.
+        # total and every link's busy time is derived from these counts on
+        # read, never accumulated per send.
         n = topology.num_sockets
         self._hop_counts = [[topology.hops(src, dst) for dst in range(n)] for src in range(n)]
         self._routes: List[List[Tuple[Tuple[Link, ...], float, Dict[MessageClass, int]]]] = [
@@ -75,6 +77,8 @@ class Interconnect:
     def _route_entry(self, hops: List[Tuple[int, int]]):
         links = () if self.infinite_bandwidth else tuple(self._links[hop] for hop in hops)
         counts = {cls: 0 for cls in MessageClass}
+        for link in links:
+            link.route_counts.append(counts)
         return links, self.hop_latency_ns * len(hops), counts
 
     # -- basic properties -----------------------------------------------------
@@ -106,8 +110,10 @@ class Interconnect:
         service_time = self._service_ns[message_class]
         arrival = now
         for link in links:
-            # Inlined Link.occupy (busy-until bandwidth accounting).
-            link.busy_time += service_time
+            # Busy-until bandwidth accounting.  Packets that arrive out of
+            # time order (trace-driven core skew) are assumed to use an
+            # earlier idle slot and are charged no queueing delay -- see
+            # :meth:`repro.memory.main_memory.MemoryChannel.occupy` for why.
             if arrival >= link.last_arrival:
                 link.last_arrival = arrival
                 busy_until = link.busy_until
@@ -198,8 +204,6 @@ class Interconnect:
         for _hops, counts in self._pair_counts():
             for cls in counts:
                 counts[cls] = 0
-        for link in self._links.values():
-            link.busy_time = 0.0
 
     def data_bytes(self) -> int:
         """Bytes sent in data-carrying packets."""

@@ -36,20 +36,37 @@ class MemoryAccessResult:
 
 
 class MemoryChannel:
-    """A single DDR channel with busy-until bandwidth accounting."""
+    """A single DDR channel with busy-until bandwidth accounting.
 
-    def __init__(self, bandwidth_bytes_per_ns: float, *, infinite_bandwidth: bool = False) -> None:
+    Every access transfers one ``block_size`` block, so the channel counts
+    only its accesses; the bytes it moved and the time it was busy are
+    derived from that count when read.
+    """
+
+    def __init__(self, bandwidth_bytes_per_ns: float, *, infinite_bandwidth: bool = False,
+                 block_size: int = 64) -> None:
         if bandwidth_bytes_per_ns <= 0:
             raise ValueError("bandwidth must be positive")
         self.bandwidth_bytes_per_ns = bandwidth_bytes_per_ns
         self.infinite_bandwidth = infinite_bandwidth
+        self.block_size = block_size
+        #: Transfer time of one block.
+        self.service_ns = block_size / bandwidth_bytes_per_ns
         self.busy_until = 0.0
         self.last_arrival = 0.0
-        self.bytes_transferred = 0
-        self.busy_time = 0.0
+        self.accesses = 0
 
-    def occupy(self, now: float, size_bytes: int) -> float:
-        """Reserve the channel for ``size_bytes`` starting no earlier than ``now``.
+    @property
+    def bytes_transferred(self) -> int:
+        return self.accesses * self.block_size
+
+    @property
+    def busy_time(self) -> float:
+        """Total transfer time of every access (0 with infinite bandwidth)."""
+        return 0.0 if self.infinite_bandwidth else self.accesses * self.service_ns
+
+    def occupy(self, now: float) -> float:
+        """Reserve the channel for one block transfer starting no earlier than ``now``.
 
         Returns the queueing delay experienced (0 when the channel is idle or
         bandwidth is idealised as infinite).
@@ -62,17 +79,13 @@ class MemoryChannel:
         against ``busy_until`` would let small ordering skew snowball into
         large artificial queueing.
         """
-        self.bytes_transferred += size_bytes
-        if self.infinite_bandwidth:
-            return 0.0
-        service_time = size_bytes / self.bandwidth_bytes_per_ns
-        self.busy_time += service_time
-        if now < self.last_arrival:
+        self.accesses += 1
+        if self.infinite_bandwidth or now < self.last_arrival:
             return 0.0
         self.last_arrival = now
         start = max(now, self.busy_until)
         queue_delay = start - now
-        self.busy_until = start + service_time
+        self.busy_until = start + self.service_ns
         return queue_delay
 
 
@@ -110,12 +123,12 @@ class MemoryController:
         self.latency_ns = latency_ns
         self.block_size = block_size
         self.channels: List[MemoryChannel] = [
-            MemoryChannel(channel_bandwidth_gbps, infinite_bandwidth=infinite_bandwidth)
+            MemoryChannel(channel_bandwidth_gbps, infinite_bandwidth=infinite_bandwidth,
+                          block_size=block_size)
             for _ in range(channels)
         ]
         self.reads = 0
         self.writes = 0
-        self.read_queue_delay = 0.0
 
     # -- channel selection --------------------------------------------------
 
@@ -134,22 +147,15 @@ class MemoryController:
         self.reads += 1
         channel = self.channels[block % len(self.channels)]
         # Inlined MemoryChannel.occupy.
-        size = self.block_size
-        channel.bytes_transferred += size
-        if channel.infinite_bandwidth:
-            return self.latency_ns
-        service_time = size / channel.bandwidth_bytes_per_ns
-        channel.busy_time += service_time
-        if now < channel.last_arrival:
+        channel.accesses += 1
+        if channel.infinite_bandwidth or now < channel.last_arrival:
             return self.latency_ns
         channel.last_arrival = now
         busy_until = channel.busy_until
         if busy_until > now:
-            channel.busy_until = busy_until + service_time
-            queue_delay = busy_until - now
-            self.read_queue_delay += queue_delay
-            return self.latency_ns + queue_delay
-        channel.busy_until = now + service_time
+            channel.busy_until = busy_until + channel.service_ns
+            return self.latency_ns + (busy_until - now)
+        channel.busy_until = now + channel.service_ns
         return self.latency_ns
 
     def write(self, now: float, block: int) -> MemoryAccessResult:
@@ -168,23 +174,18 @@ class MemoryController:
         self.writes += 1
         channel = self.channels[block % len(self.channels)]
         # Inlined MemoryChannel.occupy.
-        size = self.block_size
-        channel.bytes_transferred += size
-        if channel.infinite_bandwidth:
-            return self.latency_ns
-        service_time = size / channel.bandwidth_bytes_per_ns
-        channel.busy_time += service_time
-        if now < channel.last_arrival:
+        channel.accesses += 1
+        if channel.infinite_bandwidth or now < channel.last_arrival:
             return self.latency_ns
         channel.last_arrival = now
         busy_until = channel.busy_until
         if busy_until > now:
-            channel.busy_until = busy_until + service_time
+            channel.busy_until = busy_until + channel.service_ns
             return self.latency_ns + busy_until - now
-        channel.busy_until = now + service_time
+        channel.busy_until = now + channel.service_ns
         return self.latency_ns
 
-    # -- statistics -----------------------------------------------------------
+    # -- statistics (derived from the per-channel access counts) ---------------
 
     @property
     def accesses(self) -> int:

@@ -115,6 +115,9 @@ class ProcessorConfig:
 
     clock_ghz: float = 3.0
     store_buffer_entries: int = 32
+    #: Inert: no TLB is modelled (the section IV-D filter keeps its own page
+    #: table).  The field stays only because ``as_dict()`` hashes it into
+    #: every results-store key, which must not change.
     tlb_entries: int = 64
 
 

@@ -92,7 +92,6 @@ class NumaSystem:
                 self.sockets[config.socket_of_core(core_id)],
                 clock_ghz=config.processor.clock_ghz,
                 store_buffer_entries=config.processor.store_buffer_entries,
-                tlb_entries=config.processor.tlb_entries,
                 thread_id=core_id,
             )
             for core_id in range(config.total_cores)

@@ -169,8 +169,8 @@ class Socket:
 
         Split out of :meth:`access` so the compiled engine can inline the L1
         hit path into the core and enter the memory system here.  The caller
-        has already performed the L1 lookup (recency + cache and stats hit
-        accounting).
+        has already performed the L1 lookup (recency and the L1 hit/miss
+        statistics).
 
         An LLC miss is handled here end to end: the global protocol's
         transaction, the LLC fill, the back-invalidation of the LLC victim's
@@ -192,11 +192,8 @@ class Socket:
             llc_set = llc._sets.get(block % llc.num_sets)
             llc_line = llc_set.get(block) if llc_set is not None else None
             if llc_line is not None:
-                llc.hits += 1
                 del llc_set[block]
                 llc_set[block] = llc_line
-            else:
-                llc.misses += 1
         else:
             llc_line = llc.lookup(block)
 
@@ -229,22 +226,26 @@ class Socket:
             )
         else:
             miss_latency, source = self.protocol.read_miss(now + latency, self.socket_id, block)
-        latency += miss_latency
-        if source is _LOCAL_DRAM_CACHE:
-            stats.served_local_dram_cache += 1
-        elif source is _LOCAL_MEMORY:
-            stats.served_local_memory += 1
-        elif source is _REMOTE_MEMORY:
-            stats.served_remote_memory += 1
-        elif source is _REMOTE_LLC:
-            stats.served_remote_llc += 1
-        elif source is _REMOTE_DRAM_CACHE:
-            stats.served_remote_dram_cache += 1
-        acc = stats.llc_miss_latency
-        acc.total += miss_latency
-        acc.count += 1
-        if miss_latency > acc.maximum:
-            acc.maximum = miss_latency
+        # A lean mirror returns no source (fast-forward runs them under
+        # scratch statistics that nothing reads, and charges no latency), so
+        # only a timed transaction is accounted.
+        if source is not None:
+            latency += miss_latency
+            if source is _LOCAL_DRAM_CACHE:
+                stats.served_local_dram_cache += 1
+            elif source is _LOCAL_MEMORY:
+                stats.served_local_memory += 1
+            elif source is _REMOTE_MEMORY:
+                stats.served_remote_memory += 1
+            elif source is _REMOTE_LLC:
+                stats.served_remote_llc += 1
+            elif source is _REMOTE_DRAM_CACHE:
+                stats.served_remote_dram_cache += 1
+            acc = stats.llc_miss_latency
+            acc.total += miss_latency
+            acc.count += 1
+            if miss_latency > acc.maximum:
+                acc.maximum = miss_latency
 
         # LLC fill.  The lookup above missed and no protocol transaction
         # fills the requester's own LLC, so the block is absent.
@@ -258,9 +259,6 @@ class Socket:
                 line = llc_set.pop(next(iter(llc_set)))
                 victim_block = line.block
                 victim_dirty = line.dirty
-                llc.evictions += 1
-                if victim_dirty:
-                    llc.dirty_evictions += 1
                 line.block = block
                 line.state = state
                 line.dirty = is_write
@@ -303,9 +301,6 @@ class Socket:
                 line = l1_set.pop(next(iter(l1_set)))
                 victim_block = line.block
                 victim_dirty = line.dirty
-                l1.evictions += 1
-                if victim_dirty:
-                    l1.dirty_evictions += 1
                 line.block = block
                 line.state = state
                 line.dirty = is_write
@@ -360,7 +355,6 @@ class Socket:
         if owner is None or owner == core_index:
             return 0.0
         self.system.stats.llc_peer_hits += 1
-        self.local_directory.peer_interventions += 1
         # The owner is downgraded to Shared; the LLC copy is made current.
         owner_line = self.l1s[owner].peek(block)
         if owner_line is not None:
@@ -421,7 +415,6 @@ class Socket:
         llc = self.llc
         llc_set = llc._sets.get(block % llc.num_sets)
         if llc_set and llc_set.pop(block, None) is not None:
-            llc.invalidations += 1
             had_copy = True
         return had_copy
 

@@ -14,20 +14,23 @@ def test_untracked_block_is_invalid():
     directory = GlobalDirectory(0)
     assert directory.lookup(5) is None
     assert directory.state_of(5) is DirectoryState.INVALID
-    assert directory.lookups == 1
+    # A lookup does not allocate an entry.
+    assert len(directory) == 0
 
 
 def test_set_modified_and_shared_transitions():
     directory = GlobalDirectory(0)
+    assert directory.state_of(7) is DirectoryState.INVALID
     entry = directory.set_modified(7, owner=2)
     assert entry.state is DirectoryState.MODIFIED
     assert entry.owner == 2
+    assert directory.state_of(7) is DirectoryState.MODIFIED
     entry = directory.set_shared(7, {1, 2})
     assert entry.state is DirectoryState.SHARED
     assert entry.owner is None
     assert entry.sharers == {1, 2}
-    assert directory.transitions["I->M"] == 1
-    assert directory.transitions["M->S"] == 1
+    assert directory.state_of(7) is DirectoryState.SHARED
+    assert len(directory) == 1
 
 
 def test_add_sharer_allocates_shared_entry():
@@ -59,13 +62,17 @@ def test_remove_sharer_deallocates_when_empty():
     assert directory.peek(3).sharers == {2}
     directory.remove_sharer(3, 2)
     assert directory.peek(3) is None
-    assert directory.deallocations == 1
+    assert directory.state_of(3) is DirectoryState.INVALID
+    assert len(directory) == 0
 
 
 def test_invalidate_untracked_is_noop():
     directory = GlobalDirectory(0)
+    directory.add_sharer(3, 1)
     directory.invalidate(9)
-    assert directory.deallocations == 0
+    assert directory.state_of(9) is DirectoryState.INVALID
+    assert directory.peek(3).sharers == {1}
+    assert len(directory) == 1
 
 
 def test_peak_entries_tracked():

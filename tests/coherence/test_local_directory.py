@@ -27,7 +27,6 @@ def test_record_write_returns_peers_to_invalidate():
     assert peers == {1}
     assert ld.sharers_of(5) == {0}
     assert ld.owner_of(5) == 0
-    assert ld.peer_invalidations == 1
 
 
 def test_record_eviction_removes_core_and_entry():
@@ -55,10 +54,3 @@ def test_invalidate_block_returns_all_cores():
     assert cores == {0, 3}
     assert ld.invalidate_block(7) == set()
 
-
-def test_lookup_counts():
-    ld = LocalDirectory()
-    ld.lookup(1)
-    ld.record_fill(1, core=0)
-    ld.lookup(1)
-    assert ld.lookups == 2

@@ -1,5 +1,6 @@
 """Tests for the simple 1-IPC timing core."""
 
+import pytest
 
 from repro.workloads.trace import MemoryAccess
 
@@ -16,8 +17,8 @@ def test_instruction_gap_advances_clock():
     block = block_homed_at(system, home=0)
     core.execute(MemoryAccess(addr=block * 64, is_write=False, gap=30))
     # 30 instructions at 1 IPC / 3 GHz = 10 ns, plus the memory latency.
-    assert core.time >= 30 * core.cycle_ns
-    assert core.instructions == 31
+    assert core.time == pytest.approx(30 * core.cycle_ns + system.stats.read_latency.total)
+    assert system.stats.instructions == 1
     assert system.stats.reads == 1
 
 

@@ -80,20 +80,24 @@ def test_zero_latency_idealisation():
 
 
 def test_link_queueing_and_infinite_bandwidth():
-    link = Link(0, 1, 1.0)  # 1 byte/ns
-    assert link.occupy(0.0, 80) == 0.0
-    assert link.occupy(0.0, 80) == pytest.approx(80.0)
-    assert link.occupy(10.0, 80) > 0.0
-    fast = Link(0, 1, 1.0, infinite_bandwidth=True)
-    assert fast.occupy(0.0, 10_000) == 0.0
+    # One 1-byte/ns link, no hop latency: a send's latency is its queueing.
+    network = make_network(2, topology="p2p", hop_latency_ns=0.0, link_bandwidth_gbps=1.0)
+    data = MessageClass.DATA_RESPONSE  # 80 bytes
+    assert network.send(0.0, 0, 1, data) == 0.0
+    assert network.send(0.0, 0, 1, data) == pytest.approx(80.0)
+    assert network.send(10.0, 0, 1, data) > 0.0
+    fast = make_network(2, topology="p2p", hop_latency_ns=0.0, link_bandwidth_gbps=1.0,
+                        infinite_bandwidth=True)
+    for _ in range(3):
+        assert fast.send(0.0, 0, 1, data) == 0.0
     with pytest.raises(ValueError):
         Link(0, 1, 0.0)
 
 
 def test_link_out_of_order_arrival_not_charged():
-    link = Link(0, 1, 1.0)
-    link.occupy(100.0, 80)
-    assert link.occupy(1.0, 80) == 0.0
+    network = make_network(2, topology="p2p", hop_latency_ns=0.0, link_bandwidth_gbps=1.0)
+    network.send(100.0, 0, 1, MessageClass.DATA_RESPONSE)
+    assert network.send(1.0, 0, 1, MessageClass.DATA_RESPONSE) == 0.0
 
 
 def test_reset_counters():

@@ -47,9 +47,9 @@ def test_writes_counted_and_consume_bandwidth():
 
 def test_out_of_order_arrival_is_not_charged_queueing():
     channel = MemoryChannel(12.8)
-    channel.occupy(100.0, 64)
+    channel.occupy(100.0)
     # An access that arrives "earlier" (trace skew) is not penalised.
-    assert channel.occupy(10.0, 64) == 0.0
+    assert channel.occupy(10.0) == 0.0
 
 
 def test_utilisation_and_bytes():
